@@ -51,35 +51,6 @@ def forward_spark(sg: SparkGraph, gamma: int, k: int) -> List[Community]:
     return _components_pandas(lpdf, epdf, keys[:k])
 
 
-def local_search_oa_spark(
-    sg: SparkGraph, k: int, gamma: int, delta: float = 2.0
-) -> List[Community]:
-    """LocalSearch-OA (Eval-III): Algorithm 1's loop, but counting by
-    OnlineAll-style enumeration (a component extraction per keynode) instead
-    of CountIC — the strawman that motivates the dedicated counting
-    algorithm."""
-    import math
-
-    from repro.core.enum_ic import enumerate_driver
-
-    tau_min = sg.tau_min()
-    tau = sg.tau_for_rank(k + gamma)
-    while True:
-        sub = sg.subgraph_ge(tau)
-        surv = survival_threshold(sub.vertices, sub.edges, gamma)
-        lpdf = surv.labels.filter(F.col("T") > float("-inf")).toPandas()
-        keep = set(lpdf["id"].astype(int))
-        epdf = sub.edges.select("src", "dst").toPandas()
-        epdf = epdf[epdf["src"].isin(keep) & epdf["dst"].isin(keep)]
-        keyed = lpdf[lpdf["T"] == lpdf["weight"]].sort_values("weight", ascending=False)
-        keys = list(zip(keyed["id"].astype(int), keyed["weight"].astype(float)))
-        cnt = len(_components_pandas(lpdf, epdf, keys))  # enumerate to count
-        if cnt >= k or tau <= tau_min:
-            break
-        tau = sg.tau_for_size(math.ceil(delta * sg.size_at_tau(tau)))
-    return enumerate_driver(surv.labels, sub.edges, k)
-
-
 def backward_spark(
     sg: SparkGraph, k: int, gamma: int
 ) -> List[Community]:

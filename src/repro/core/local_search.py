@@ -4,16 +4,27 @@ The driver loop follows Algorithm 1 exactly, with each piece mapped to the
 distributed kernels:
 
 * Line 1 — τ₁ = weight of the (k+γ)-th vertex, from the prefix index;
-* Line 3 — CountIC(G≥τ_i) = the survival-threshold fixed point
-  (``repro.kernels.survival``) on the Catalyst-filtered subgraph, counting
-  vertices with ``T = ω``;
+* Line 3 — CountIC(G≥τ_i), by one of two routes, chosen per stage:
+
+  - **driver**: when ``G≥τ_i`` has at most :func:`driver_rows_budget` rows,
+    it is collected once (``SparkGraph.to_ref``: two capped collects) and
+    peeled with the exact linear CountIC (``repro.ref.count_ic``). The
+    paper's point (Lemma 3.8) is that ``G≥τ*`` is tiny, so this is the
+    common case, and it costs two Spark jobs where the fixed point costs
+    a few dozen (a join, an aggregate, a count and a checkpoint per
+    superstep), which dominate on a subgraph of a few hundred rows;
+  - **survival**: otherwise, the survival-threshold fixed point
+    (``repro.kernels.survival``) on the Catalyst-filtered subgraph,
+    counting vertices with ``T = ω``;
+
 * Line 4 — τ_{i+1} from the cached prefix-size index
   (``SparkGraph.tau_for_size``), growing ``size(G≥τ)`` by the factor δ;
-* Line 6 — EnumIC on the final subgraph (``repro.core.enum_ic``).
+* Line 6 — EnumIC on the final subgraph: ``repro.ref.enum_ic`` on the
+  collected graph, or ``enumerate_driver`` on the survival labelling.
 
-Only the weight-suffix subgraph ``G≥τ_i`` ever flows through the cluster —
-the locality that makes LocalSearch instance-optimal carries over: the
-DataFrames processed per stage have exactly ``size(G≥τ_i)`` rows.
+Only the weight-suffix subgraph ``G≥τ_i`` is ever read — the locality that
+makes LocalSearch instance-optimal carries over to both routes: a stage
+processes exactly ``size(G≥τ_i)`` rows.
 """
 from __future__ import annotations
 
@@ -21,10 +32,38 @@ import math
 from dataclasses import dataclass, field
 from typing import List
 
+from pyspark.sql import SparkSession
+
 from repro.graphs.storage import SparkGraph
 from repro.kernels.survival import count_keynodes, survival_threshold
+from repro.ref.count_ic import count_ic
+from repro.ref.enum_ic import enum_ic
 
-from .enum_ic import Community, enumerate_distributed, enumerate_driver
+from .enum_ic import Community, enumerate_driver
+
+#: Driver memory one row of ``G≥τ`` (a vertex or an edge) is charged while a
+#: stage runs on the driver. The collected frames, the ``RefGraph``, CountIC
+#: and EnumIC (k = 20) peak at 300–410 B a row on the email, youtube and
+#: orkut analogs at scale 0.3 (tracemalloc).
+DRIVER_BYTES_PER_ROW = 512
+
+DRIVER = "driver"
+SURVIVAL = "survival"
+
+
+def driver_rows_budget(spark: SparkSession) -> int:
+    """Largest ``size(G≥τ)`` a stage collects and peels on the driver.
+
+    Worked out from ``spark.driver.maxResultSize`` (default 1g), the cap
+    Spark already puts on every collect, at ``DRIVER_BYTES_PER_ROW``: about
+    two million rows by default. A session that lifts the cap (``0``) is
+    bounded by the driver's heap, ``spark.driver.memory``, instead.
+    """
+    to_bytes = spark.sparkContext._jvm.org.apache.spark.network.util.JavaUtils.byteStringAsBytes
+    cap = to_bytes(spark.conf.get("spark.driver.maxResultSize", "1g"))
+    if cap == 0:
+        cap = to_bytes(spark.conf.get("spark.driver.memory", "1g"))
+    return cap // DRIVER_BYTES_PER_ROW
 
 
 @dataclass
@@ -33,6 +72,7 @@ class SparkStage:
     size: int
     count: int
     survival_iterations: int
+    route: str  # DRIVER, SURVIVAL, or the variant's own reduction
 
 
 @dataclass
@@ -50,28 +90,38 @@ def local_search_spark(
     k: int,
     gamma: int,
     delta: float = 2.0,
-    enum_mode: str = "driver",
 ) -> SparkLocalSearchResult:
     """Top-k influential γ-communities, highest influence first."""
     if delta <= 1:
         raise ValueError("delta must be > 1")
+    if gamma < 1:
+        raise ValueError("gamma must be >= 1")
     res = SparkLocalSearchResult(communities=[])
+    if k <= 0:
+        return res
     tau_min = sg.tau_min()
+    if tau_min is None:  # the empty graph
+        return res
+    budget = driver_rows_budget(sg.vertices.sparkSession)
     tau = sg.tau_for_rank(k + gamma)
     while True:
         sub = sg.subgraph_ge(tau)
-        surv = survival_threshold(sub.vertices, sub.edges, gamma)
-        cnt = count_keynodes(surv.labels)
-        size = sg.size_at_tau(tau)
-        res.stages.append(
-            SparkStage(tau=tau, size=size, count=cnt,
-                       survival_iterations=surv.iterations)
-        )
-        if cnt >= k or tau <= tau_min:
+        g = sub.to_ref(budget)
+        if g is not None:
+            peel = count_ic(g, gamma)
+            stage = SparkStage(tau, g.size, peel.count, 0, DRIVER)
+        else:
+            surv = survival_threshold(sub.vertices, sub.edges, gamma)
+            stage = SparkStage(tau, sg.size_at_tau(tau), count_keynodes(surv.labels),
+                               surv.iterations, SURVIVAL)
+        res.stages.append(stage)
+        if stage.count >= k or tau <= tau_min:
             break
-        tau = sg.tau_for_size(math.ceil(delta * size))
-    enum = enumerate_driver if enum_mode == "driver" else enumerate_distributed
-    res.communities = enum(surv.labels, sub.edges, k)
+        tau = sg.tau_for_size(math.ceil(delta * stage.size))
+    if g is not None:
+        res.communities = enum_ic(g, peel, k)
+    else:
+        res.communities = enumerate_driver(surv.labels, sub.edges, k)
     return res
 
 

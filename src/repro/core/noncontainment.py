@@ -28,7 +28,7 @@ from repro.graphs.storage import SparkGraph
 from repro.kernels.survival import survival_threshold
 
 from .enum_ic import Community
-from .local_search import SparkLocalSearchResult, SparkStage
+from .local_search import SURVIVAL, SparkLocalSearchResult, SparkStage
 
 
 def _nc_analysis(
@@ -73,7 +73,7 @@ def top_k_noncontainment_spark(
         cnt = int(nc.sum())
         res.stages.append(
             SparkStage(tau=tau, size=sg.size_at_tau(tau), count=cnt,
-                       survival_iterations=surv.iterations)
+                       survival_iterations=surv.iterations, route=SURVIVAL)
         )
         if cnt >= k or tau <= tau_min:
             break

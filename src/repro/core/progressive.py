@@ -1,17 +1,27 @@
 """Distributed LocalSearch-P (Algorithm 4): progressive streaming results.
 
-A Python generator over the Spark substrate. Stage i computes the survival
-labelling of ``G≥τ_i`` and reports the communities of the **new** keynodes —
-those with weight < τ_{i-1} (the §4 suffix property guarantees keynodes and
-their communities computed in ``G≥τ_i`` stay valid in every larger
-subgraph, so nothing is re-reported and nothing changes later). Communities
-stream out in decreasing influence order; the consumer can stop the
-generator at any time (``k`` is never needed).
+A Python generator over the Spark substrate. Stage i labels ``G≥τ_i`` and
+reports the communities of the **new** keynodes — those with weight <
+τ_{i-1} (the §4 suffix property guarantees keynodes and their communities
+computed in ``G≥τ_i`` stay valid in every larger subgraph, so nothing is
+re-reported and nothing changes later). Communities stream out in
+decreasing influence order; the consumer can stop the generator at any time
+(``k`` is never needed).
 
-Unlike the sequential version, each stage recomputes the fixed point on the
-doubled subgraph rather than extending ``cvs`` incrementally — supersteps
-are cheap relative to per-stage scheduling in Spark, and the total work
-stays O(Σ size(G≥τ_i)) = O(size(G≥τ_h)) in dataflow-row terms.
+Each stage takes one of LocalSearch's two routes (``repro.core.local_search``):
+
+* **driver** — ``G≥τ_i`` fits :func:`driver_rows_budget`, so it is
+  collected and peeled with ConstructCVS (``count_ic`` stopping at
+  τ_{i-1}), and the new bands are activated in EnumIC-P's disjoint set
+  (``repro.ref.progressive``), shared across stages exactly as in the
+  sequential version: each community is read off the set, not re-searched.
+  Per-stage Spark work is two collects; a stage's supersteps would cost a
+  few dozen jobs, which dominate the latency on subgraphs of a few hundred
+  rows.
+* **survival** — otherwise, the survival fixed point on ``G≥τ_i``, then a
+  suffix BFS per new keynode over the collected T-labelling
+  (``_components_pandas``). Since sizes only grow, once a stage takes this
+  route every later stage does too.
 """
 from __future__ import annotations
 
@@ -22,37 +32,58 @@ from pyspark.sql import functions as F
 
 from repro.graphs.storage import SparkGraph
 from repro.kernels.survival import survival_threshold
+from repro.ref.count_ic import count_ic
+from repro.ref.progressive import _CommunityDSU
 
 from .enum_ic import Community, _components_pandas
+from .local_search import driver_rows_budget
 
 
 def local_search_progressive_spark(
     sg: SparkGraph, gamma: int, delta: float = 2.0
 ) -> Iterator[Community]:
     """Yield (influence, community) in decreasing influence order."""
+    if delta <= 1:
+        raise ValueError("delta must be > 1")
+    if gamma < 1:
+        raise ValueError("gamma must be >= 1")
     tau_min = sg.tau_min()
+    if tau_min is None:  # the empty graph
+        return
+    budget = driver_rows_budget(sg.vertices.sparkSession)
     tau = sg.tau_for_rank(1 + gamma)
     tau_prev = float("inf")
+    dsu = _CommunityDSU()
     while True:
         sub = sg.subgraph_ge(tau)
-        surv = survival_threshold(sub.vertices, sub.edges, gamma)
-        new_keys = (
-            surv.labels.filter(
-                (F.col("T") == F.col("weight")) & (F.col("weight") < tau_prev)
+        g = sub.to_ref(budget)
+        if g is not None:
+            size = g.size
+            peel = count_ic(g, gamma, tau_stop=tau_prev)
+            # Bands arrive keynode-ascending; activate (and yield) descending.
+            for grp in reversed(peel.groups()):
+                root = dsu.activate(g.adj, grp)
+                yield g.weight[grp[0]], frozenset(dsu.members[root])
+        else:
+            size = sg.size_at_tau(tau)
+            surv = survival_threshold(sub.vertices, sub.edges, gamma)
+            new_keys = (
+                surv.labels.filter(
+                    (F.col("T") == F.col("weight")) & (F.col("weight") < tau_prev)
+                )
+                .orderBy(F.col("weight").desc())
+                .collect()
             )
-            .orderBy(F.col("weight").desc())
-            .collect()
-        )
-        if new_keys:
-            # Collect once per stage; every new community lives inside the
-            # current (small) subgraph's T-labelled vertex set.
-            lpdf = surv.labels.filter(
-                F.col("T") > float("-inf")
-            ).select("id", "T").toPandas()
-            epdf = sub.edges.select("src", "dst").toPandas()
-            keys = [(int(r["id"]), float(r["weight"])) for r in new_keys]
-            yield from _components_pandas(lpdf, epdf, keys)
+            if new_keys:
+                # Collect once per stage; every new community lives inside the
+                # current subgraph's T-labelled vertex set.
+                lpdf = surv.labels.filter(
+                    F.col("T") > float("-inf")
+                ).select("id", "T").toPandas()
+                epdf = sub.edges.select("src", "dst").toPandas()
+                keys = [(int(r["id"]), float(r["weight"])) for r in new_keys]
+                yield from _components_pandas(lpdf, epdf, keys)
         if tau <= tau_min:
             return
         tau_prev = tau
-        tau = sg.tau_for_size(math.ceil(delta * sg.size_at_tau(tau)))
+        tau = sg.tau_for_size(math.ceil(delta * size))

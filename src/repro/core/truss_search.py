@@ -53,7 +53,7 @@ def local_search_truss_spark(
         ref, peel = _truss_peel(sub, gamma)
         res.stages.append(
             SparkStage(tau=tau, size=sg.size_at_tau(tau), count=peel.count,
-                       survival_iterations=0)
+                       survival_iterations=0, route="truss")
         )
         if peel.count >= k or tau <= tau_min:
             break

@@ -20,11 +20,47 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession, Window
 from pyspark.sql import functions as F
 
+from repro.ref.graph import RefGraph
+
 NEG_INF = float("-inf")
+VERTEX_SCHEMA = "id long, weight double"
+EDGE_SCHEMA = "src long, dst long"
+
+
+def canonical_frames(
+    vertices: pd.DataFrame, edges: pd.DataFrame
+) -> Tuple[pd.DataFrame, pd.DataFrame]:
+    """``RefGraph``'s graph contract, applied to pandas frames.
+
+    Edges are oriented ``src < dst`` and duplicates (in either orientation)
+    dropped. Tied weights, self-loops and edges to unknown vertices raise
+    ``ValueError`` with ``RefGraph``'s messages; so do repeated vertex ids,
+    which a ``RefGraph``'s weight dict cannot hold.
+    """
+    v = vertices[["id", "weight"]].astype({"id": "int64", "weight": "float64"})
+    if v["id"].duplicated().any():
+        raise ValueError(f"duplicate vertex id {v['id'][v['id'].duplicated()].iloc[0]}")
+    if v["weight"].duplicated().any():
+        raise ValueError("vertex weights must be pairwise distinct (paper §2)")
+    src = edges["src"].to_numpy(dtype=np.int64)
+    dst = edges["dst"].to_numpy(dtype=np.int64)
+    loops = np.flatnonzero(src == dst)
+    if len(loops):
+        raise ValueError(f"self-loop on {src[loops[0]]}")
+    ids = v["id"].to_numpy()
+    unknown = np.flatnonzero(~(np.isin(src, ids) & np.isin(dst, ids)))
+    if len(unknown):
+        i = unknown[0]
+        raise ValueError(f"edge ({src[i]},{dst[i]}) references unknown vertex")
+    e = pd.DataFrame(
+        {"src": np.minimum(src, dst), "dst": np.maximum(src, dst)}
+    ).drop_duplicates(ignore_index=True)
+    return v, e
 
 
 @dataclass
@@ -45,11 +81,13 @@ class SparkGraph:
     def from_pandas(
         spark: SparkSession, vertices: pd.DataFrame, edges: pd.DataFrame
     ) -> "SparkGraph":
-        """Build from pandas ``(id, weight)`` and ``(src, dst)`` frames."""
-        v = spark.createDataFrame(vertices[["id", "weight"]]).cache()
+        """Build from pandas ``(id, weight)`` and ``(src, dst)`` frames,
+        checked and canonicalised by :func:`canonical_frames` first."""
+        vertices, edges = canonical_frames(vertices, edges)
+        v = spark.createDataFrame(vertices, schema=VERTEX_SCHEMA).cache()
         w = v.select(F.col("id").alias("_wid"), F.col("weight").alias("_w"))
         e = (
-            spark.createDataFrame(edges[["src", "dst"]])
+            spark.createDataFrame(edges, schema=EDGE_SCHEMA)
             .join(w.withColumnsRenamed({"_wid": "src", "_w": "w_src"}), "src")
             .join(w.withColumnsRenamed({"_wid": "dst", "_w": "w_dst"}), "dst")
             .select(
@@ -148,8 +186,28 @@ class SparkGraph:
         ).collect()[0]
         return int(row["s"] or 0)
 
-    def tau_min(self) -> float:
-        return float(self.vertices.agg(F.min("weight")).collect()[0][0])
+    def tau_min(self) -> Optional[float]:
+        """Smallest vertex weight; ``None`` for the empty graph."""
+        w = self.vertices.agg(F.min("weight")).collect()[0][0]
+        return None if w is None else float(w)
+
+    def to_ref(self, max_rows: int) -> Optional[RefGraph]:
+        """This graph as a :class:`RefGraph` on the driver, or ``None`` when
+        it has more than ``max_rows`` rows (vertices + edges).
+
+        Two collects, vertices then edges, each capped at the rows still
+        under the budget, so a graph over it is never shipped whole.
+        """
+        v = self.vertices.select("id", "weight").limit(max_rows + 1).toPandas()
+        if len(v) > max_rows:
+            return None
+        e = self.edges.select("src", "dst").limit(max_rows + 1 - len(v)).toPandas()
+        if len(v) + len(e) > max_rows:
+            return None
+        return RefGraph(
+            dict(zip(v["id"].tolist(), v["weight"].tolist())),
+            zip(e["src"].tolist(), e["dst"].tolist()),
+        )
 
     # ----------------------------------------------------------- conversion
     def to_pandas(self) -> Tuple[pd.DataFrame, pd.DataFrame]:

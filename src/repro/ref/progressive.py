@@ -23,7 +23,7 @@ per-community copy (the paper's "link, don't copy" output mode).
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator, List, Set
 
 from .count_ic import count_ic
 from .graph import RefGraph
@@ -58,6 +58,17 @@ class _CommunityDSU:
         self.parent[rb] = ra
         self.members[ra].extend(self.members.pop(rb))
 
+    def activate(self, adj: Dict[int, Set[int]], band: List[int]) -> int:
+        """Activate one cvs band (keynode first) and union it with its
+        already-active neighbors; returns the root of the keynode's set."""
+        for v in band:
+            self.add(v)
+        for v in band:
+            for x in adj[v]:
+                if x in self.parent:  # already activated ⇒ band ≥ ω(u)
+                    self.union(v, x)
+        return self.find(band[0])
+
 
 def local_search_progressive(
     g: RefGraph, gamma: int, delta: float = 2.0, materialize: bool = True
@@ -78,13 +89,7 @@ def local_search_progressive(
         # Bands arrive keynode-ascending; activate (and yield) descending.
         for grp in reversed(peel.groups()):
             u = grp[0]
-            for v in grp:
-                dsu.add(v)
-            for v in grp:
-                for x in g.adj[v]:
-                    if x in dsu.parent:  # already activated ⇒ band ≥ ω(u)
-                        dsu.union(v, x)
-            root = dsu.find(u)
+            root = dsu.activate(g.adj, grp)
             if materialize:
                 yield g.weight[u], frozenset(dsu.members[root])
             else:

@@ -3,18 +3,22 @@
 Each heavy pipeline runs once per module (module-scoped fixtures); the
 asserts fan out over the shared results to keep Spark wall-time bounded.
 """
+import pandas as pd
 import pytest
 
+import repro.core.local_search as core_ls
+import repro.core.progressive as core_p
 from repro.baselines.global_search import backward_spark, forward_spark, online_all_spark
 from repro.core.enum_ic import enumerate_distributed, enumerate_driver
-from repro.core.local_search import count_ic_spark, local_search_spark
+from repro.core.local_search import DRIVER, SURVIVAL, count_ic_spark, local_search_spark
 from repro.core.noncontainment import top_k_noncontainment_spark
 from repro.core.progressive import local_search_progressive_spark
 from repro.core.truss_search import global_search_truss_spark, local_search_truss_spark
+from repro.graphs.storage import SparkGraph
 from repro.kernels.survival import survival_threshold
-from repro.ref.count_ic import count_ic
 from repro.ref.enum_ic import all_communities_brute
-from repro.ref.local_search import local_search
+from repro.ref.graph import RefGraph
+from repro.ref.local_search import local_search, tau_star_size
 from repro.ref.noncontainment import noncontainment_brute
 from repro.ref.truss import global_search_truss
 
@@ -41,32 +45,68 @@ def grand(spark):
     return ref, ref_to_spark(spark, ref)
 
 
-@pytest.fixture(scope="module")
-def ls_fig3(g3):
+@pytest.fixture(scope="class", autouse=True)
+def route(request):
+    """The stage route of the class's ``ROUTE`` (default: the driver route,
+    which every stage here fits). ``SURVIVAL`` sets the driver budget to 0,
+    so every stage runs the survival fixed point."""
+    route = getattr(request.cls, "ROUTE", DRIVER)
+    with pytest.MonkeyPatch.context() as mp:
+        if route == SURVIVAL:
+            for mod in (core_ls, core_p):
+                mp.setattr(mod, "driver_rows_budget", lambda spark: 0)
+        yield route
+
+
+@pytest.fixture(scope="class")
+def ls_fig3(g3, route):
     _, sg = g3
     return local_search_spark(sg, k=4, gamma=3)
 
 
-@pytest.fixture(scope="module")
-def ls_rand(grand):
+@pytest.fixture(scope="class")
+def ls_rand(grand, route):
     _, sg = grand
     return local_search_spark(sg, k=3, gamma=3)
 
 
-class TestLocalSearchSpark:
+def trace(stages):
+    return [(s.tau, s.size, s.count) for s in stages]
+
+
+class LocalSearchChecks:
+    """LocalSearch checks that must hold on either stage route."""
+
+    ROUTE = DRIVER
+
     def test_fig3_top4(self, ls_fig3):
         assert ls_fig3.communities == TOP4
 
     def test_fig3_stage_trace_matches_example31(self, ls_fig3):
-        assert [(s.tau, s.size, s.count) for s in ls_fig3.stages] == [
-            (18.0, 18, 1),
-            (12.0, 36, 4),
-        ]
+        assert trace(ls_fig3.stages) == [(18.0, 18, 1), (12.0, 36, 4)]
 
     def test_random_matches_ref(self, grand, ls_rand):
         ref, _ = grand
-        assert ls_rand.communities == local_search(ref, 3, 3).communities
+        want = local_search(ref, 3, 3)
+        assert ls_rand.communities == want.communities
+        assert trace(ls_rand.stages) == trace(want.stages)
 
+    def test_every_stage_takes_the_route(self, ls_fig3, ls_rand):
+        for res in (ls_fig3, ls_rand):
+            assert [s.route for s in res.stages] == [self.ROUTE] * len(res.stages)
+
+    def test_instance_optimality_bound(self, g3, grand, ls_fig3, ls_rand):
+        # Lemma 3.8: accessed size ≤ 2δ·size(G≥τ*), on the Spark trace.
+        delta = 2.0
+        for (ref, _), res, k in ((g3, ls_fig3, 4), (grand, ls_rand, 3)):
+            assert res.accessed_size <= 2 * delta * tau_star_size(ref, k, 3) + 1
+
+
+class TestLocalSearchSparkSurvival(LocalSearchChecks):
+    ROUTE = SURVIVAL
+
+
+class TestLocalSearchSpark(LocalSearchChecks):
     def test_count_ic_spark(self, g3):
         ref, sg = g3
         assert count_ic_spark(sg, gamma=3, tau=12.0) == 4
@@ -80,8 +120,28 @@ class TestLocalSearchSpark:
         b = enumerate_distributed(surv.labels, sub.edges, 4)
         assert a == b == TOP4
 
+    def test_edge_cases_return_ref_answer(self, g3, spark):
+        ref, sg = g3
+        # k + γ ≤ 0 asks for nothing.
+        assert local_search_spark(sg, k=-1, gamma=1).communities == []
+        assert local_search(ref, -1, 1).communities == []
+        empty = SparkGraph.from_pandas(spark, *empty_frames())
+        assert local_search_spark(empty, k=3, gamma=2).communities == []
+        assert local_search(RefGraph({}, []), 3, 2).communities == []
 
-class TestProgressiveSpark:
+
+def empty_frames():
+    return (
+        pd.DataFrame({"id": pd.Series(dtype="int64"), "weight": pd.Series(dtype="float64")}),
+        pd.DataFrame({"src": pd.Series(dtype="int64"), "dst": pd.Series(dtype="int64")}),
+    )
+
+
+class ProgressiveChecks:
+    """LocalSearch-P checks that must hold on either stage route."""
+
+    ROUTE = DRIVER
+
     def test_streams_in_order_and_matches_batch(self, g3):
         ref, sg = g3
         got = []
@@ -95,6 +155,75 @@ class TestProgressiveSpark:
         ref, sg = grand
         got = list(local_search_progressive_spark(sg, gamma=3))
         assert got == all_communities_brute(ref, 3)
+
+    def test_stages_take_the_route(self, g3, monkeypatch):
+        calls = []
+        fixed_point = core_p.survival_threshold
+        monkeypatch.setattr(
+            core_p, "survival_threshold",
+            lambda *a, **kw: calls.append(1) or fixed_point(*a, **kw),
+        )
+        assert next(local_search_progressive_spark(g3[1], gamma=3)) == TOP4[0]
+        assert bool(calls) == (self.ROUTE == SURVIVAL)
+
+
+class TestProgressiveSparkSurvival(ProgressiveChecks):
+    ROUTE = SURVIVAL
+
+
+class TestProgressiveSpark(ProgressiveChecks):
+    def test_delta_one_raises_on_first_next(self, g3):
+        gen = local_search_progressive_spark(g3[1], gamma=3, delta=1.0)
+        with pytest.raises(ValueError, match="delta must be > 1"):
+            next(gen)
+
+    def test_empty_graph_streams_nothing(self, spark):
+        empty = SparkGraph.from_pandas(spark, *empty_frames())
+        assert list(local_search_progressive_spark(empty, gamma=2)) == []
+
+
+class TestGraphContract:
+    """``SparkGraph.from_pandas`` holds ``RefGraph``'s graph contract."""
+
+    WEIGHTS = {1: 6.0, 2: 5.0, 3: 4.0, 4: 3.0, 5: 2.0, 6: 1.0}
+
+    def frames(self, edges):
+        vertices = pd.DataFrame(
+            {"id": list(self.WEIGHTS), "weight": list(self.WEIGHTS.values())}
+        )
+        return vertices, pd.DataFrame(edges, columns=["src", "dst"])
+
+    def test_reversed_duplicate_edges_are_canonicalised(self, spark):
+        # Path 1–2–3 listed in both orientations, plus triangle 4–5–6.
+        path = [(1, 2), (2, 3), (2, 1), (3, 2)]
+        triangle = [(4, 5), (5, 6), (6, 4)]
+        sg = SparkGraph.from_pandas(spark, *self.frames(path + triangle))
+        ref = RefGraph(self.WEIGHTS, [(1, 2), (2, 3)] + triangle)
+        want = [(1.0, frozenset({4, 5, 6}))]
+        assert local_search(ref, 5, 2).communities == want
+        assert local_search_spark(sg, k=5, gamma=2).communities == want
+        assert list(local_search_progressive_spark(sg, gamma=2)) == want
+        assert sg.counts() == (6, 5)
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(1, 2), (3, 3)], "self-loop on 3"),
+            ([(1, 2), (2, 9)], r"edge \(2,9\) references unknown vertex"),
+        ],
+    )
+    def test_invalid_edges_are_rejected(self, spark, edges, message):
+        with pytest.raises(ValueError, match=message):
+            SparkGraph.from_pandas(spark, *self.frames(edges))
+
+    @pytest.mark.parametrize(
+        "column, message", [("weight", "pairwise distinct"), ("id", "duplicate vertex id 1")]
+    )
+    def test_tied_weights_and_repeated_ids_are_rejected(self, spark, column, message):
+        vertices, edges = self.frames([(1, 2)])
+        vertices.loc[1, column] = vertices.loc[0, column]
+        with pytest.raises(ValueError, match=message):
+            SparkGraph.from_pandas(spark, vertices, edges)
 
 
 class TestGlobalBaselinesSpark:
