@@ -50,26 +50,3 @@ def forward_spark(sg: SparkGraph, gamma: int, k: int) -> List[Community]:
     lpdf, epdf, keys = _full_labelling(sg, gamma)
     return _components_pandas(lpdf, epdf, keys[:k])
 
-
-def backward_spark(
-    sg: SparkGraph, k: int, gamma: int
-) -> List[Community]:
-    """Backward stand-in: arithmetic-growth local search (quadratic shape).
-
-    Same driver loop as LocalSearch but the subgraph grows by a constant
-    ``size`` increment per round (the §3.3 Remark's schedule), re-running
-    the distributed CountIC from scratch each round.
-    """
-    from repro.core.enum_ic import enumerate_driver
-    from repro.kernels.survival import count_keynodes
-
-    tau_min = sg.tau_min()
-    tau = sg.tau_for_rank(k + gamma)
-    step = max(1, sg.size_at_tau(tau))
-    while True:
-        sub = sg.subgraph_ge(tau)
-        surv = survival_threshold(sub.vertices, sub.edges, gamma)
-        if count_keynodes(surv.labels) >= k or tau <= tau_min:
-            break
-        tau = sg.tau_for_size(sg.size_at_tau(tau) + step)
-    return enumerate_driver(surv.labels, sub.edges, k)

@@ -1,7 +1,8 @@
 """Distributed LocalSearch (Algorithm 1) over the Spark substrate.
 
-The driver loop follows Algorithm 1 exactly, with each piece mapped to the
-distributed kernels:
+The growth loop is the shared Algorithm-1 driver
+(``repro.ref.local_search.grow_top_k``) over ``SparkGraph``'s prefix-index
+lookups; this module supplies the stage and its enumeration:
 
 * Line 1 — τ₁ = weight of the (k+γ)-th vertex, from the prefix index;
 * Line 3 — CountIC(G≥τ_i), by one of two routes, chosen per stage:
@@ -28,18 +29,15 @@ processes exactly ``size(G≥τ_i)`` rows.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import List
-
 from pyspark.sql import SparkSession
 
 from repro.graphs.storage import SparkGraph
 from repro.kernels.survival import count_keynodes, survival_threshold
 from repro.ref.count_ic import count_ic
 from repro.ref.enum_ic import enum_ic
+from repro.ref.local_search import DRIVER, LocalSearchResult, Stage, grow_top_k, growth
 
-from .enum_ic import Community, enumerate_driver
+from .enum_ic import enumerate_driver
 
 #: Driver memory one row of ``G≥τ`` (a vertex or an edge) is charged while a
 #: stage runs on the driver. The collected frames, the ``RefGraph``, CountIC
@@ -47,8 +45,7 @@ from .enum_ic import Community, enumerate_driver
 #: orkut analogs at scale 0.3 (tracemalloc).
 DRIVER_BYTES_PER_ROW = 512
 
-DRIVER = "driver"
-SURVIVAL = "survival"
+SURVIVAL = "survival"  # the other stage route is ``DRIVER``
 
 
 def driver_rows_budget(spark: SparkSession) -> int:
@@ -66,67 +63,29 @@ def driver_rows_budget(spark: SparkSession) -> int:
     return cap // DRIVER_BYTES_PER_ROW
 
 
-@dataclass
-class SparkStage:
-    tau: float
-    size: int
-    count: int
-    survival_iterations: int
-    route: str  # DRIVER, SURVIVAL, or the variant's own reduction
-
-
-@dataclass
-class SparkLocalSearchResult:
-    communities: List[Community]
-    stages: List[SparkStage] = field(default_factory=list)
-
-    @property
-    def accessed_size(self) -> int:
-        return self.stages[-1].size if self.stages else 0
-
-
 def local_search_spark(
     sg: SparkGraph,
     k: int,
     gamma: int,
     delta: float = 2.0,
-) -> SparkLocalSearchResult:
+) -> LocalSearchResult:
     """Top-k influential γ-communities, highest influence first."""
-    if delta <= 1:
-        raise ValueError("delta must be > 1")
+    next_size = growth(delta)
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
-    res = SparkLocalSearchResult(communities=[])
-    if k <= 0:
-        return res
-    tau_min = sg.tau_min()
-    if tau_min is None:  # the empty graph
-        return res
     budget = driver_rows_budget(sg.vertices.sparkSession)
-    tau = sg.tau_for_rank(k + gamma)
-    while True:
+
+    def stage(tau: float):
         sub = sg.subgraph_ge(tau)
         g = sub.to_ref(budget)
         if g is not None:
             peel = count_ic(g, gamma)
-            stage = SparkStage(tau, g.size, peel.count, 0, DRIVER)
-        else:
-            surv = survival_threshold(sub.vertices, sub.edges, gamma)
-            stage = SparkStage(tau, sg.size_at_tau(tau), count_keynodes(surv.labels),
-                               surv.iterations, SURVIVAL)
-        res.stages.append(stage)
-        if stage.count >= k or tau <= tau_min:
-            break
-        tau = sg.tau_for_size(math.ceil(delta * stage.size))
-    if g is not None:
-        res.communities = enum_ic(g, peel, k)
-    else:
-        res.communities = enumerate_driver(surv.labels, sub.edges, k)
-    return res
+            return Stage(tau, g.size, peel.count, DRIVER), lambda k: enum_ic(g, peel, k)
+        surv = survival_threshold(sub.vertices, sub.edges, gamma)
+        return (
+            Stage(tau, sg.size_at_tau(tau), count_keynodes(surv.labels),
+                  SURVIVAL, surv.iterations),
+            lambda k: enumerate_driver(surv.labels, sub.edges, k),
+        )
 
-
-def count_ic_spark(sg: SparkGraph, gamma: int, tau: float) -> int:
-    """Distributed CountIC: #influential γ-communities of ``G≥τ``."""
-    sub = sg.subgraph_ge(tau)
-    surv = survival_threshold(sub.vertices, sub.edges, gamma)
-    return count_keynodes(surv.labels)
+    return grow_top_k(sg, k, k + gamma, next_size, stage)

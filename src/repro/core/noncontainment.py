@@ -9,15 +9,16 @@ subgraph be ``u_1 < u_2 < …`` by weight, with ``next(u_i) = ω(u_{i+1})``
   to ``{ v : T(v) ≥ next(u_i) }`` — in which case its non-containment
   community is exactly ``gp(u_i)``.
 
-The counting loop is the Algorithm-1 driver with this NC test; the test
-itself runs on the collected (small) accessed subgraph: bands are a
-``numpy.searchsorted`` over the keynode weights, the edge test a vectorized
-comparison. The distributed part — the survival fixed point on ``G≥τ`` — is
-unchanged.
+The counting loop is the shared Algorithm-1 driver
+(``repro.ref.local_search.grow_top_k``), started from the sequential
+version's §5.1 bound τ₁ = the k(γ+1)-th weight, with this NC test as its
+stage count. The test runs on the collected (small) accessed subgraph:
+bands are a ``numpy.searchsorted`` over the keynode weights, the edge test
+a vectorized comparison. The distributed part is the survival fixed point
+on ``G≥τ``.
 """
 from __future__ import annotations
 
-import math
 from typing import List, Tuple
 
 import numpy as np
@@ -26,9 +27,10 @@ from pyspark.sql import functions as F
 
 from repro.graphs.storage import SparkGraph
 from repro.kernels.survival import survival_threshold
+from repro.ref.local_search import LocalSearchResult, Stage, grow_top_k, growth
 
 from .enum_ic import Community
-from .local_search import SURVIVAL, SparkLocalSearchResult, SparkStage
+from .local_search import SURVIVAL
 
 
 def _nc_analysis(
@@ -56,12 +58,10 @@ def _nc_analysis(
 
 def top_k_noncontainment_spark(
     sg: SparkGraph, k: int, gamma: int, delta: float = 2.0
-) -> SparkLocalSearchResult:
+) -> LocalSearchResult:
     """Top-k non-containment communities, highest influence first."""
-    res = SparkLocalSearchResult(communities=[])
-    tau_min = sg.tau_min()
-    tau = sg.tau_for_rank(k + gamma)
-    while True:
+
+    def stage(tau: float):
         sub = sg.subgraph_ge(tau)
         surv = survival_threshold(sub.vertices, sub.edges, gamma)
         lpdf = surv.labels.filter(F.col("T") > float("-inf")).toPandas()
@@ -70,18 +70,17 @@ def top_k_noncontainment_spark(
             epdf["src"].isin(set(lpdf["id"])) & epdf["dst"].isin(set(lpdf["id"]))
         ]
         keys, nc, banded = _nc_analysis(lpdf, epdf)
-        cnt = int(nc.sum())
-        res.stages.append(
-            SparkStage(tau=tau, size=sg.size_at_tau(tau), count=cnt,
-                       survival_iterations=surv.iterations, route=SURVIVAL)
-        )
-        if cnt >= k or tau <= tau_min:
-            break
-        tau = sg.tau_for_size(math.ceil(delta * sg.size_at_tau(tau)))
-    out: List[Community] = []
-    for i in reversed(range(len(keys))):
-        if nc[i] and len(out) < k:
-            members = banded.loc[banded["band"] == i, "id"].astype(int)
-            out.append((keys[i][1], frozenset(members)))
-    res.communities = out
-    return res
+        st = Stage(tau, sg.size_at_tau(tau), int(nc.sum()), SURVIVAL, surv.iterations)
+
+        def enumerate_top(k: int) -> List[Community]:
+            out: List[Community] = []
+            for i in reversed(range(len(keys))):
+                if nc[i] and len(out) < k:
+                    members = banded.loc[banded["band"] == i, "id"].astype(int)
+                    out.append((keys[i][1], frozenset(members)))
+            return out
+
+        return st, enumerate_top
+
+    # k disjoint NC communities span ≥ k·(γ+1) vertices — the §5.1 τ₁ bound.
+    return grow_top_k(sg, k, k * (gamma + 1), growth(delta), stage)

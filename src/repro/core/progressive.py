@@ -8,7 +8,9 @@ re-reported and nothing changes later). Communities stream out in
 decreasing influence order; the consumer can stop the generator at any time
 (``k`` is never needed).
 
-Each stage takes one of LocalSearch's two routes (``repro.core.local_search``):
+The stage loop is ``repro.ref.progressive.progressive``, the shared growth
+driver that the sequential version runs too. Each stage takes one of
+LocalSearch's two routes (``repro.core.local_search``):
 
 * **driver** — ``G≥τ_i`` fits :func:`driver_rows_budget`, so it is
   collected and peeled with ConstructCVS (``count_ic`` stopping at
@@ -25,7 +27,6 @@ Each stage takes one of LocalSearch's two routes (``repro.core.local_search``):
 """
 from __future__ import annotations
 
-import math
 from typing import Iterator
 
 from pyspark.sql import functions as F
@@ -33,57 +34,45 @@ from pyspark.sql import functions as F
 from repro.graphs.storage import SparkGraph
 from repro.kernels.survival import survival_threshold
 from repro.ref.count_ic import count_ic
-from repro.ref.progressive import _CommunityDSU
+from repro.ref.local_search import DRIVER, Stage, growth
+from repro.ref.progressive import _CommunityDSU, progressive
 
 from .enum_ic import Community, _components_pandas
-from .local_search import driver_rows_budget
+from .local_search import SURVIVAL, driver_rows_budget
 
 
 def local_search_progressive_spark(
     sg: SparkGraph, gamma: int, delta: float = 2.0
 ) -> Iterator[Community]:
     """Yield (influence, community) in decreasing influence order."""
-    if delta <= 1:
-        raise ValueError("delta must be > 1")
+    next_size = growth(delta)
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
-    tau_min = sg.tau_min()
-    if tau_min is None:  # the empty graph
-        return
     budget = driver_rows_budget(sg.vertices.sparkSession)
-    tau = sg.tau_for_rank(1 + gamma)
-    tau_prev = float("inf")
     dsu = _CommunityDSU()
-    while True:
+
+    def stage(tau: float, tau_prev: float):
         sub = sg.subgraph_ge(tau)
         g = sub.to_ref(budget)
         if g is not None:
-            size = g.size
             peel = count_ic(g, gamma, tau_stop=tau_prev)
-            # Bands arrive keynode-ascending; activate (and yield) descending.
-            for grp in reversed(peel.groups()):
-                root = dsu.activate(g.adj, grp)
-                yield g.weight[grp[0]], frozenset(dsu.members[root])
-        else:
-            size = sg.size_at_tau(tau)
-            surv = survival_threshold(sub.vertices, sub.edges, gamma)
-            new_keys = (
-                surv.labels.filter(
-                    (F.col("T") == F.col("weight")) & (F.col("weight") < tau_prev)
-                )
-                .orderBy(F.col("weight").desc())
-                .collect()
+            return Stage(tau, g.size, peel.count, DRIVER), dsu.stream(g, peel)
+        surv = survival_threshold(sub.vertices, sub.edges, gamma)
+        new_keys = (
+            surv.labels.filter(
+                (F.col("T") == F.col("weight")) & (F.col("weight") < tau_prev)
             )
-            if new_keys:
-                # Collect once per stage; every new community lives inside the
-                # current subgraph's T-labelled vertex set.
-                lpdf = surv.labels.filter(
-                    F.col("T") > float("-inf")
-                ).select("id", "T").toPandas()
-                epdf = sub.edges.select("src", "dst").toPandas()
-                keys = [(int(r["id"]), float(r["weight"])) for r in new_keys]
-                yield from _components_pandas(lpdf, epdf, keys)
-        if tau <= tau_min:
-            return
-        tau_prev = tau
-        tau = sg.tau_for_size(math.ceil(delta * size))
+            .orderBy(F.col("weight").desc())
+            .collect()
+        )
+        st = Stage(tau, sg.size_at_tau(tau), len(new_keys), SURVIVAL, surv.iterations)
+        if not new_keys:
+            return st, []
+        # Collect once per stage; every new community lives inside the
+        # current subgraph's T-labelled vertex set.
+        lpdf = surv.labels.filter(F.col("T") > float("-inf")).select("id", "T").toPandas()
+        epdf = sub.edges.select("src", "dst").toPandas()
+        keys = [(int(r["id"]), float(r["weight"])) for r in new_keys]
+        return st, _components_pandas(lpdf, epdf, keys)
+
+    yield from progressive(sg, 1 + gamma, next_size, stage)

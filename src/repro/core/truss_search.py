@@ -17,16 +17,15 @@ LocalSearch-Truss avoids.
 """
 from __future__ import annotations
 
-import math
 from typing import List
 
 from repro.graphs.storage import SparkGraph
 from repro.kernels.ktruss import gamma_truss_subgraph
 from repro.ref.graph import RefGraph
+from repro.ref.local_search import LocalSearchResult, Stage, grow_top_k, growth
 from repro.ref.truss import count_icc, enum_icc
 
 from .enum_ic import Community
-from .local_search import SparkLocalSearchResult, SparkStage
 
 
 def _truss_peel(sub: SparkGraph, gamma: int):
@@ -43,23 +42,17 @@ def _truss_peel(sub: SparkGraph, gamma: int):
 
 def local_search_truss_spark(
     sg: SparkGraph, k: int, gamma: int, delta: float = 2.0
-) -> SparkLocalSearchResult:
+) -> LocalSearchResult:
     """Top-k influential γ-truss communities, highest influence first."""
-    res = SparkLocalSearchResult(communities=[])
-    tau_min = sg.tau_min()
-    tau = sg.tau_for_rank(k + gamma)
-    while True:
-        sub = sg.subgraph_ge(tau)
-        ref, peel = _truss_peel(sub, gamma)
-        res.stages.append(
-            SparkStage(tau=tau, size=sg.size_at_tau(tau), count=peel.count,
-                       survival_iterations=0, route="truss")
+
+    def stage(tau: float):
+        ref, peel = _truss_peel(sg.subgraph_ge(tau), gamma)
+        return (
+            Stage(tau, sg.size_at_tau(tau), peel.count, "truss"),
+            lambda k: enum_icc(ref, peel, k),
         )
-        if peel.count >= k or tau <= tau_min:
-            break
-        tau = sg.tau_for_size(math.ceil(delta * sg.size_at_tau(tau)))
-    res.communities = enum_icc(ref, peel, k)
-    return res
+
+    return grow_top_k(sg, k, k + gamma, growth(delta), stage)
 
 
 def global_search_truss_spark(sg: SparkGraph, k: int, gamma: int) -> List[Community]:

@@ -20,13 +20,12 @@
 """
 from __future__ import annotations
 
-import math
 from typing import List, Optional
 
 from .count_ic import _Peeler, count_ic
 from .enum_ic import Community, enum_ic
 from .graph import RefGraph
-from .local_search import LocalSearchResult, Stage, initial_prefix
+from .local_search import LocalSearchResult, Stage, grow_top_k, growth, peel_stage
 
 
 def _component(adj, alive, u) -> frozenset:
@@ -59,7 +58,7 @@ def online_all(
             break
         out.append((g.weight[u], _component(peeler.adj, peeler.alive, u)))
         peeler.remove_cascade(u)
-    return out[-k:] if k is not None else out
+    return out[max(len(out) - k, 0):] if k is not None else out
 
 
 def forward(g: RefGraph, k: int, gamma: int) -> List[Community]:
@@ -86,42 +85,24 @@ def backward_arith(g: RefGraph, k: int, gamma: int) -> LocalSearchResult:
     Backward [8] grows the candidate subgraph vertex by vertex in
     decreasing weight order, redoing the community computation each round —
     Θ(accessed²) overall. We re-run CountIC from scratch after every single
-    added vertex, reproducing that cost shape (substitution recorded in
-    DESIGN.md §4; stage records are kept per round)."""
-    res = LocalSearchResult(communities=[])
-    if g.n == 0:
-        return res
-    r = initial_prefix(g, k, gamma)
-    while True:
-        peel = count_ic(g, gamma, prefix=r)
-        size = g.prefix_size(r)
-        res.stages.append(
-            Stage(tau=g.weight[g.order[r - 1]], r=r, size=size, count=peel.count)
-        )
-        if peel.count >= k or r == g.n:
-            break
-        r += 1  # one vertex at a time
-    res.communities = enum_ic(g, peel, k)
-    return res
+    added vertex (``size + 1`` is the prefix with one vertex more),
+    reproducing that cost shape (substitution recorded in DESIGN.md §4;
+    stage records are kept per round)."""
+    return grow_top_k(g, k, k + gamma, lambda size: size + 1, peel_stage(g, gamma))
 
 
 def local_search_oa(
     g: RefGraph, k: int, gamma: int, delta: float = 2.0
 ) -> LocalSearchResult:
     """Algorithm 1 with CountIC swapped for OnlineAll-based counting."""
-    res = LocalSearchResult(communities=[])
-    if g.n == 0:
-        return res
-    r = initial_prefix(g, k, gamma)
-    while True:
+
+    def stage(tau: float):
+        r = g.r_for_tau(tau)
         # enumerates (BFS per community) just to count
         count = len(online_all(g, gamma, prefix=r))
-        size = g.prefix_size(r)
-        res.stages.append(
-            Stage(tau=g.weight[g.order[r - 1]], r=r, size=size, count=count)
+        return (
+            Stage(tau, g.prefix_size(r), count),
+            lambda k: enum_ic(g, count_ic(g, gamma, prefix=r), k),
         )
-        if count >= k or r == g.n:
-            break
-        r = max(g.r_for_size(math.ceil(delta * size)), r + 1)
-    res.communities = enum_ic(g, count_ic(g, gamma, prefix=r), k)
-    return res
+
+    return grow_top_k(g, k, k + gamma, growth(delta), stage)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 NEG_INF = float("-inf")
 
@@ -125,6 +125,19 @@ class RefGraph:
             else:
                 hi = mid
         return lo
+
+    # The growth-driver contract, shared with ``SparkGraph`` (§3.1 lookups).
+    def tau_for_rank(self, r: int) -> float:
+        """Weight of the r-th highest-weight vertex (τ₁ heuristic, Line 1)."""
+        return self.weight[self.order[min(r, self.n) - 1]]
+
+    def tau_for_size(self, target: int) -> float:
+        """Largest τ with ``size(G≥τ) ≥ target``, else τ_min (Line 4)."""
+        return self.weight[self.order[self.r_for_size(target) - 1]]
+
+    def tau_min(self) -> Optional[float]:
+        """Smallest vertex weight; ``None`` for the empty graph."""
+        return self.weight[self.order[-1]] if self.order else None
 
     def subgraph_top(self, r: int) -> "RefGraph":
         """Induced subgraph of the top-``r`` vertices, built in O(its size)."""

@@ -4,61 +4,53 @@ A keynode ``u`` is a *non-containment* keynode when every vertex removed by
 ``Remove(u)`` (its cvs group ``gp(u)``) has no edge to the graph remaining
 after the procedure — then its non-containment community is exactly
 ``gp(u)``. CountIC already records this flag per keynode
-(:class:`repro.ref.count_ic.PeelResult.nc_flags`); this module wraps it in
-the Algorithm-1 driver loop, growing the subgraph until it holds at least
-``k`` non-containment keynodes.
+(:class:`repro.ref.count_ic.PeelResult.nc_flags`). Top-k search is the
+shared growth driver (``ref.local_search.grow_top_k``) from the §5.1 bound
+τ₁ = the k(γ+1)-th weight, whose stage counts the flagged keynodes of the
+prefix's CountIC, until there are at least ``k`` of them.
 """
 from __future__ import annotations
 
-import math
 from typing import List
 
-from .count_ic import count_ic
+from .count_ic import PeelResult, count_ic
 from .enum_ic import Community
 from .graph import RefGraph
-from .local_search import LocalSearchResult, Stage, initial_prefix
+from .local_search import LocalSearchResult, Stage, grow_top_k, growth
+
+
+def nc_top_k(g: RefGraph, peel: PeelResult, k: int) -> List[Community]:
+    """The top-k non-containment groups of a peel, highest influence first."""
+    groups = peel.groups()
+    nc = [
+        (g.weight[u], frozenset(grp))
+        for u, grp, flag in zip(peel.keys, groups, peel.nc_flags)
+        if flag
+    ]
+    return nc[::-1][:k]
 
 
 def top_k_noncontainment(
     g: RefGraph, k: int, gamma: int, delta: float = 2.0
 ) -> LocalSearchResult:
     """Top-k non-containment communities, highest influence first."""
-    res = LocalSearchResult(communities=[])
-    if g.n == 0:
-        return res
-    # k disjoint NC communities span ≥ k·(γ+1) vertices — the §5.1 τ₁ bound.
-    r = min(g.n, k * (gamma + 1))
-    while True:
+
+    def stage(tau: float):
+        r = g.r_for_tau(tau)
         peel = count_ic(g, gamma, prefix=r)
-        nc_count = sum(peel.nc_flags)
-        size = g.prefix_size(r)
-        res.stages.append(
-            Stage(tau=g.weight[g.order[r - 1]], r=r, size=size, count=nc_count)
+        return (
+            Stage(tau, g.prefix_size(r), sum(peel.nc_flags)),
+            lambda k: nc_top_k(g, peel, k),
         )
-        if nc_count >= k or r == g.n:
-            break
-        r = max(g.r_for_size(math.ceil(delta * size)), r + 1)
-    groups = peel.groups()
-    nc: List[Community] = [
-        (g.weight[peel.keys[i]], frozenset(groups[i]))
-        for i in range(peel.count)
-        if peel.nc_flags[i]
-    ]
-    res.communities = list(reversed(nc))[:k]  # highest influence first
-    return res
+
+    # k disjoint NC communities span ≥ k·(γ+1) vertices — the §5.1 τ₁ bound.
+    return grow_top_k(g, k, k * (gamma + 1), growth(delta), stage)
 
 
 def forward_nc(g: RefGraph, k: int, gamma: int) -> List[Community]:
     """Forward's non-containment variant [8] (Eval-VII baseline): one global
     CountIC pass over the whole graph, then report the top-k NC groups."""
-    peel = count_ic(g, gamma)
-    groups = peel.groups()
-    nc = [
-        (g.weight[peel.keys[i]], frozenset(groups[i]))
-        for i in range(peel.count)
-        if peel.nc_flags[i]
-    ]
-    return list(reversed(nc))[:k]
+    return nc_top_k(g, count_ic(g, gamma), k)
 
 
 def noncontainment_brute(g: RefGraph, gamma: int) -> List[Community]:

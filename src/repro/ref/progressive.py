@@ -16,18 +16,20 @@ previous stage's — and each activated vertex unions with its already-active
 neighbors. When keynode ``u``'s band finishes activating, ``IC(u)`` is the
 disjoint-set component of ``u`` (vertices with band weight ≥ ω(u) reachable
 from u — exactly γ-core(G≥ω(u))'s component). Member lists merge
-small-to-large, so construction over a whole run costs O(m + n log n);
-``materialize=False`` yields ``(influence, size, member-view)`` without the
-per-community copy (the paper's "link, don't copy" output mode).
+small-to-large, so construction over a whole run costs O(m + n log n).
+
+The stage loop is the shared growth driver (``ref.local_search.grow``),
+started at rank ``1 + γ`` and never stopped by a count: :func:`progressive`
+runs it for this module and for the Spark version (``repro.core.progressive``).
 """
 from __future__ import annotations
 
-import math
-from typing import Dict, Iterator, List, Set
+from typing import Dict, Iterator, List
 
-from .count_ic import count_ic
+from .count_ic import PeelResult, count_ic
+from .enum_ic import Community
 from .graph import RefGraph
-from .local_search import initial_prefix
+from .local_search import Stage, grow, growth
 
 
 class _CommunityDSU:
@@ -58,43 +60,41 @@ class _CommunityDSU:
         self.parent[rb] = ra
         self.members[ra].extend(self.members.pop(rb))
 
-    def activate(self, adj: Dict[int, Set[int]], band: List[int]) -> int:
-        """Activate one cvs band (keynode first) and union it with its
-        already-active neighbors; returns the root of the keynode's set."""
-        for v in band:
-            self.add(v)
-        for v in band:
-            for x in adj[v]:
-                if x in self.parent:  # already activated ⇒ band ≥ ω(u)
-                    self.union(v, x)
-        return self.find(band[0])
+    def stream(self, g: RefGraph, peel: PeelResult) -> Iterator[Community]:
+        """Activate a ConstructCVS peel's cvs bands (keynode first) in
+        decreasing keynode weight, the reverse of the order they arrive in,
+        each unioned with its already-active neighbors; yield each keynode's
+        community once its band is active."""
+        for band in reversed(peel.groups()):
+            for v in band:
+                self.add(v)
+            for v in band:
+                for x in g.adj[v]:
+                    if x in self.parent:  # already activated ⇒ band ≥ ω(u)
+                        self.union(v, x)
+            yield g.weight[band[0]], frozenset(self.members[self.find(band[0])])
+
+
+def progressive(g, rank: int, next_size, stage) -> Iterator[Community]:
+    """Algorithm 4's stream over the growth driver: ``stage(τ_i, τ_{i-1})``
+    returns its record and the communities of its new keynodes (weight
+    < τ_{i-1}; τ₀ = +∞), highest influence first."""
+    tau_prev = float("inf")
+    for st, new in grow(g, rank, next_size, lambda tau: stage(tau, tau_prev)):
+        yield from new
+        tau_prev = st.tau
 
 
 def local_search_progressive(
-    g: RefGraph, gamma: int, delta: float = 2.0, materialize: bool = True
-) -> Iterator:
-    """Algorithm 4: yield communities, highest influence first.
-
-    Yields ``(influence, frozenset)`` when ``materialize`` (default), else
-    ``(influence, size, members-list-view)`` — the view aliases internal
-    state and is only valid until the next iteration step.
-    """
-    if g.n == 0:
-        return
-    r = initial_prefix(g, 1, gamma)
-    tau_prev = float("inf")  # τ₀ — above the maximum vertex weight
+    g: RefGraph, gamma: int, delta: float = 2.0
+) -> Iterator[Community]:
+    """Algorithm 4: yield ``(influence, frozenset)``, highest influence first."""
+    next_size = growth(delta)
     dsu = _CommunityDSU()
-    while True:
+
+    def stage(tau: float, tau_prev: float):
+        r = g.r_for_tau(tau)
         peel = count_ic(g, gamma, tau_stop=tau_prev, prefix=r)
-        # Bands arrive keynode-ascending; activate (and yield) descending.
-        for grp in reversed(peel.groups()):
-            u = grp[0]
-            root = dsu.activate(g.adj, grp)
-            if materialize:
-                yield g.weight[u], frozenset(dsu.members[root])
-            else:
-                yield g.weight[u], len(dsu.members[root]), dsu.members[root]
-        if r == g.n:
-            return
-        tau_prev = g.weight[g.order[r - 1]]
-        r = max(g.r_for_size(math.ceil(delta * g.prefix_size(r))), r + 1)
+        return Stage(tau, g.prefix_size(r), peel.count), dsu.stream(g, peel)
+
+    yield from progressive(g, 1 + gamma, next_size, stage)

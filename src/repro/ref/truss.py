@@ -25,7 +25,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .enum_ic import Community
 from .graph import RefGraph
-from .local_search import LocalSearchResult, Stage, initial_prefix
+from .local_search import LocalSearchResult, Stage, grow_top_k, growth
 
 Edge = Tuple[int, int]  # canonical (min, max)
 
@@ -170,21 +170,13 @@ def local_search_truss(
     g: RefGraph, k: int, gamma: int, delta: float = 2.0
 ) -> LocalSearchResult:
     """LocalSearch-Truss (Algorithm 6 with the truss Count/Enum procedures)."""
-    res = LocalSearchResult(communities=[])
-    if g.n == 0:
-        return res
-    r = min(g.n, k + gamma)
-    while True:
+
+    def stage(tau: float):
+        r = g.r_for_tau(tau)
         peel = count_icc(g, gamma, prefix=r)
-        size = g.prefix_size(r)
-        res.stages.append(
-            Stage(tau=g.weight[g.order[r - 1]], r=r, size=size, count=peel.count)
-        )
-        if peel.count >= k or r == g.n:
-            break
-        r = max(g.r_for_size(math.ceil(delta * size)), r + 1)
-    res.communities = enum_icc(g, peel, k)
-    return res
+        return Stage(tau, g.prefix_size(r), peel.count), lambda k: enum_icc(g, peel, k)
+
+    return grow_top_k(g, k, k + gamma, growth(delta), stage)
 
 
 def global_search_truss(g: RefGraph, k: int, gamma: int) -> List[Community]:

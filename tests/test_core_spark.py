@@ -8,9 +8,9 @@ import pytest
 
 import repro.core.local_search as core_ls
 import repro.core.progressive as core_p
-from repro.baselines.global_search import backward_spark, forward_spark, online_all_spark
+from repro.baselines.global_search import forward_spark, online_all_spark
 from repro.core.enum_ic import enumerate_distributed, enumerate_driver
-from repro.core.local_search import DRIVER, SURVIVAL, count_ic_spark, local_search_spark
+from repro.core.local_search import DRIVER, SURVIVAL, local_search_spark
 from repro.core.noncontainment import top_k_noncontainment_spark
 from repro.core.progressive import local_search_progressive_spark
 from repro.core.truss_search import global_search_truss_spark, local_search_truss_spark
@@ -19,8 +19,8 @@ from repro.kernels.survival import survival_threshold
 from repro.ref.enum_ic import all_communities_brute
 from repro.ref.graph import RefGraph
 from repro.ref.local_search import local_search, tau_star_size
-from repro.ref.noncontainment import noncontainment_brute
-from repro.ref.truss import global_search_truss
+from repro.ref.noncontainment import noncontainment_brute, top_k_noncontainment
+from repro.ref.truss import global_search_truss, local_search_truss
 
 from .paper_graphs import fig3_graph
 from .spark_helpers import random_ref_graph, ref_to_spark
@@ -107,11 +107,6 @@ class TestLocalSearchSparkSurvival(LocalSearchChecks):
 
 
 class TestLocalSearchSpark(LocalSearchChecks):
-    def test_count_ic_spark(self, g3):
-        ref, sg = g3
-        assert count_ic_spark(sg, gamma=3, tau=12.0) == 4
-        assert count_ic_spark(sg, gamma=3, tau=18.0) == 1
-
     def test_enum_modes_agree(self, g3):
         ref, sg = g3
         sub = sg.subgraph_ge(12.0)
@@ -122,12 +117,19 @@ class TestLocalSearchSpark(LocalSearchChecks):
 
     def test_edge_cases_return_ref_answer(self, g3, spark):
         ref, sg = g3
-        # k + γ ≤ 0 asks for nothing.
-        assert local_search_spark(sg, k=-1, gamma=1).communities == []
-        assert local_search(ref, -1, 1).communities == []
         empty = SparkGraph.from_pandas(spark, *empty_frames())
-        assert local_search_spark(empty, k=3, gamma=2).communities == []
-        assert local_search(RefGraph({}, []), 3, 2).communities == []
+        searches = [
+            (local_search_spark, local_search),
+            (top_k_noncontainment_spark, top_k_noncontainment),
+            (local_search_truss_spark, local_search_truss),
+        ]
+        # k ≤ 0 asks for nothing, also when k + γ ≤ 0; the empty graph has nothing.
+        for spark_search, ref_search in searches:
+            for (r, s), k in (((ref, sg), -1), ((ref, sg), -3), ((RefGraph({}, []), empty), 3)):
+                want = ref_search(r, k, 2)
+                got = spark_search(s, k, 2)
+                assert got.communities == want.communities == []
+                assert got.stages == want.stages == []
 
 
 def empty_frames():
@@ -232,29 +234,41 @@ class TestGlobalBaselinesSpark:
         assert online_all_spark(sg, gamma=3, k=4) == TOP4
         assert forward_spark(sg, gamma=3, k=4) == TOP4
 
-    def test_backward(self, g3):
-        _, sg = g3
-        assert backward_spark(sg, k=4, gamma=3) == TOP4
+
+@pytest.fixture(scope="class")
+def nc_runs(g3, grand):
+    """Spark non-containment top-2 at γ = 3 on fig3 and the random graph."""
+    return [(ref, top_k_noncontainment_spark(sg, k=2, gamma=3)) for ref, sg in (g3, grand)]
 
 
 class TestNonContainmentSpark:
-    def test_fig3_top2(self, g3):
-        _, sg = g3
-        res = top_k_noncontainment_spark(sg, k=2, gamma=3)
-        assert res.communities == [
+    def test_fig3_top2(self, nc_runs):
+        assert nc_runs[0][1].communities == [
             (18.0, frozenset({3, 11, 12, 20})),
             (14.0, frozenset({1, 6, 7, 16})),
         ]
 
-    def test_random_matches_brute(self, grand):
-        ref, sg = grand
-        res = top_k_noncontainment_spark(sg, k=2, gamma=3)
+    def test_random_matches_brute(self, nc_runs):
+        ref, res = nc_runs[1]
         assert res.communities == noncontainment_brute(ref, 3)[:2]
+
+    def test_stage_traces_match_ref(self, nc_runs):
+        for ref, res in nc_runs:
+            assert trace(res.stages) == trace(top_k_noncontainment(ref, 2, 3).stages)
 
 
 class TestTrussSpark:
     def test_fig3_local_equals_global_and_ref(self, g3):
         ref, sg = g3
         want = global_search_truss(ref, 2, 4)
-        assert local_search_truss_spark(sg, 2, 4).communities == want
+        res = local_search_truss_spark(sg, 2, 4)
+        assert res.communities == want
+        assert trace(res.stages) == trace(local_search_truss(ref, 2, 4).stages)
         assert global_search_truss_spark(sg, 2, 4) == want
+
+    def test_random_stage_trace_matches_ref(self, grand):
+        ref, sg = grand
+        want = local_search_truss(ref, 3, 3)
+        res = local_search_truss_spark(sg, 3, 3)
+        assert res.communities == want.communities
+        assert trace(res.stages) == trace(want.stages)

@@ -204,6 +204,11 @@ class TestProgressive:
         w, s = next(gen)
         assert (w, s) == (18, frozenset({3, 11, 12, 20}))
 
+    def test_delta_one_raises_on_first_next(self, g3):
+        gen = local_search_progressive(g3, gamma=3, delta=1.0)
+        with pytest.raises(ValueError, match="delta must be > 1"):
+            next(gen)
+
 
 class TestNonContainment:
     def test_top2_nc_are_the_cliques(self, g3):

@@ -15,6 +15,7 @@ from repro.ref.graph import NEG_INF, RefGraph
 from repro.ref.local_search import local_search, tau_star_size
 from repro.ref.noncontainment import noncontainment_brute, top_k_noncontainment
 from repro.ref.progressive import local_search_progressive
+from repro.ref.truss import local_search_truss, truss_community_brute, truss_keynodes_brute
 
 
 @st.composite
@@ -67,14 +68,22 @@ def test_enum_matches_brute_components(g, gamma, k):
 
 
 @settings(max_examples=40, deadline=None)
-@given(g=random_graph(), gamma=GAMMAS, k=st.integers(1, 6))
+@given(g=random_graph(), gamma=GAMMAS, k=st.integers(-3, 6))
 def test_local_search_equals_global_answers(g, gamma, k):
-    want = all_communities_brute(g, gamma)[:k]
+    top = max(k, 0)  # k ≤ 0 asks for nothing
+    want = all_communities_brute(g, gamma)[:top]
     assert local_search(g, k, gamma).communities == want
     assert forward(g, k, gamma) == want
     assert list(reversed(online_all(g, gamma, k=k))) == want
     assert backward_arith(g, k, gamma).communities == want
     assert local_search_oa(g, k, gamma).communities == want
+    assert top_k_noncontainment(g, k, gamma).communities == noncontainment_brute(g, gamma)[:top]
+    truss_gamma = gamma + 1  # truss cohesiveness starts at 2
+    truss_want = [
+        (g.weight[u], truss_community_brute(g, truss_gamma, u))
+        for u in reversed(truss_keynodes_brute(g, truss_gamma))
+    ][:top]
+    assert local_search_truss(g, k, truss_gamma).communities == truss_want
 
 
 @settings(max_examples=30, deadline=None)
