@@ -48,7 +48,6 @@ def test_spark_engine_email(benchmark, spark, algo):
     from repro.core.progressive import local_search_progressive_spark
 
     sg = spark_graph(spark, "email", 0.3)
-    sg.prefix_index().count()  # warm the cached prefix index
     if algo == "local_search_p":
         fn = lambda: consume_topk(local_search_progressive_spark(sg, GAMMA), K)  # noqa: E731
     else:

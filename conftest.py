@@ -7,9 +7,9 @@ def _driver_mem() -> str:
 
     Precedence: SPARK_DRIVER_MEM env (explicit override) > cgroup v2/v1
     limit > 48g fallback. spark.driver.memory is read at JVM launch, not
-    from SparkConf, so it must be in PYSPARK_SUBMIT_ARGS before pyspark is
-    imported anywhere — this runs at conftest import, which pytest loads
-    before any test module.
+    from SparkConf, so it must be in PYSPARK_SUBMIT_ARGS before any JVM
+    starts — this runs at conftest import, which pytest loads before any
+    test module, and the jobs a test starts as subprocesses inherit it.
 
     The cgroup read is best-effort: the sandbox runs under gVisor, whose
     sysfs emulation may not pass the host limit through. An unbounded
@@ -38,40 +38,31 @@ def _driver_mem() -> str:
 
 
 os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())
-os.environ.setdefault(
-    "PYSPARK_SUBMIT_ARGS",
-    f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
-    f"--driver-memory {os.environ['SPARK_DRIVER_MEM']} "
-    f"--conf spark.driver.host=127.0.0.1 "
-    f"--conf spark.ui.enabled=false "
-    "pyspark-shell",
-)
 
 import pytest  # noqa: E402
 from pyspark.sql import SparkSession  # noqa: E402
+
+from jobs._util import get_spark, set_submit_args  # noqa: E402
+
+set_submit_args(
+    master=os.environ.get("SPARK_MASTER", "local[*]"),
+    driver_memory=os.environ["SPARK_DRIVER_MEM"],
+)
 
 
 @pytest.fixture(scope="session")
 def spark() -> SparkSession:
     """One local-mode SparkSession for the whole test session.
 
-    Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch). Per-session configs that *are* honoured post-launch
-    (shuffle partitions, Arrow, broadcast threshold) are set here.
-    Broadcast joins are disabled so papers about shuffle/join algorithms
-    actually exercise the shuffle path at SF~=0.1; a reproduction that
-    wants a broadcast join sets the threshold back for that query.
+    Built by the jobs' own ``get_spark``, with the master from
+    ``SPARK_MASTER`` and driver memory from ``SPARK_DRIVER_MEM`` (set in
+    ``PYSPARK_SUBMIT_ARGS`` above) and shuffle partitions from
+    ``SPARK_SHUFFLE_PARTITIONS``. Broadcast joins are disabled so papers
+    about shuffle/join algorithms actually exercise the shuffle path at
+    SF~=0.1; a reproduction that wants a broadcast join sets the threshold
+    back for that query.
     """
-    s = (
-        SparkSession.builder.appName("repro")
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
-        )
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
+    s = get_spark(os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"))
     # One line in test_output.txt that tells the driver whether the
     # cgroup derivation saw the real limit (README § Spark target).
     print(

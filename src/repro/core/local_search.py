@@ -8,18 +8,20 @@ lookups; this module supplies the stage and its enumeration:
 * Line 3 — CountIC(G≥τ_i), by one of two routes, chosen per stage:
 
   - **driver**: when ``G≥τ_i`` has at most :func:`driver_rows_budget` rows,
-    it is collected once (``SparkGraph.to_ref``: two capped collects) and
-    peeled with the exact linear CountIC (``repro.ref.count_ic``). The
-    paper's point (Lemma 3.8) is that ``G≥τ*`` is tiny, so this is the
-    common case, and it costs two Spark jobs where the fixed point costs
-    a few dozen (a join, an aggregate, a count and a checkpoint per
-    superstep), which dominate on a subgraph of a few hundred rows;
+    it is collected once (``SparkGraph.to_ref``: its vertices and size are
+    the prefix index's, so one collect of its edges) and peeled with the
+    exact linear CountIC (``repro.ref.count_ic``). The paper's point
+    (Lemma 3.8) is that ``G≥τ*`` is tiny, so this is the common case, and it
+    costs one Spark job where the fixed point costs a few dozen (a join, an
+    aggregate, a count and a checkpoint per superstep), which dominate on a
+    subgraph of a few hundred rows;
   - **survival**: otherwise, the survival-threshold fixed point
     (``repro.kernels.survival``) on the Catalyst-filtered subgraph,
     counting vertices with ``T = ω``;
 
-* Line 4 — τ_{i+1} from the cached prefix-size index
-  (``SparkGraph.tau_for_size``), growing ``size(G≥τ)`` by the factor δ;
+* Line 4 — τ_{i+1} from the prefix-size index on the driver
+  (``SparkGraph.tau_for_size``, no Spark job), growing ``size(G≥τ)`` by the
+  factor δ;
 * Line 6 — EnumIC on the final subgraph: ``repro.ref.enum_ic`` on the
   collected graph, or ``enumerate_driver`` on the survival labelling.
 

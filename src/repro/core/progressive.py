@@ -17,12 +17,13 @@ LocalSearch's two routes (``repro.core.local_search``):
   τ_{i-1}), and the new bands are activated in EnumIC-P's disjoint set
   (``repro.ref.progressive``), shared across stages exactly as in the
   sequential version: each community is read off the set, not re-searched.
-  Per-stage Spark work is two collects; a stage's supersteps would cost a
+  Per-stage Spark work is one collect; a stage's supersteps would cost a
   few dozen jobs, which dominate the latency on subgraphs of a few hundred
   rows.
 * **survival** — otherwise, the survival fixed point on ``G≥τ_i``, then a
-  suffix BFS per new keynode over the collected T-labelling
-  (``_components_pandas``). Since sizes only grow, once a stage takes this
+  suffix BFS per new keynode (``_components_pandas``) over the vertices
+  with ``T`` ≥ the lowest new keynode's weight and the edges between them,
+  the only rows collected. Since sizes only grow, once a stage takes this
   route every later stage does too.
 """
 from __future__ import annotations
@@ -37,7 +38,7 @@ from repro.ref.count_ic import count_ic
 from repro.ref.local_search import DRIVER, Stage, growth
 from repro.ref.progressive import _CommunityDSU, progressive
 
-from .enum_ic import Community, _components_pandas
+from .enum_ic import Community, _components_pandas, collect_live
 from .local_search import SURVIVAL, driver_rows_budget
 
 
@@ -68,11 +69,10 @@ def local_search_progressive_spark(
         st = Stage(tau, sg.size_at_tau(tau), len(new_keys), SURVIVAL, surv.iterations)
         if not new_keys:
             return st, []
-        # Collect once per stage; every new community lives inside the
-        # current subgraph's T-labelled vertex set.
-        lpdf = surv.labels.filter(F.col("T") > float("-inf")).select("id", "T").toPandas()
-        epdf = sub.edges.select("src", "dst").toPandas()
+        # Collect once per stage; every new community lives inside
+        # {v : T(v) ≥ ω(lowest new keynode)}.
         keys = [(int(r["id"]), float(r["weight"])) for r in new_keys]
+        lpdf, epdf = collect_live(surv.labels, sub.edges, keys[-1][1])
         return st, _components_pandas(lpdf, epdf, keys)
 
     yield from progressive(sg, 1 + gamma, next_size, stage)

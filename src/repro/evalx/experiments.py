@@ -101,7 +101,6 @@ def eval1_spark(
     rows = []
     for name in names:
         sg = spark_graph(spark, name, scale)
-        sg.prefix_index().count()  # warm the cached index
         for k in ks:
             _, t_lsp = timed(
                 lambda: consume_topk(local_search_progressive_spark(sg, gamma), k)

@@ -1,16 +1,18 @@
 """Distributed weighted-graph storage — the paper's §3.1 graph organization
 as Spark DataFrames.
 
-The paper's two starred assumptions map onto columnar layout:
+The paper's two starred assumptions map onto this layout:
 
-* *vertices pre-sorted in decreasing weight order* → a cached
-  **prefix-size index** (rank by weight, cumulative ``size`` = vertices +
-  edges of every weight-suffix subgraph), built once with a window cumsum;
+* *vertices pre-sorted in decreasing weight order* → the **prefix-size
+  index** (``repro.ref.graph.PrefixIndex``: the vertices in decreasing
+  weight order and the cumulative ``size`` = vertices + edges of every
+  weight-suffix subgraph), built once on the driver from the canonical
+  pandas frames at load. Algorithm 1's lookups (Line 1's τ₁, Line 4's doubling step) are
+  binary searches on it and run no Spark job;
 * *adjacency pre-partitioned into N≥/N<* → every edge row carries
   ``w_min = min(ω(src), ω(dst))``, so the induced subgraph ``G≥τ`` is the
   Catalyst filter ``w_min ≥ τ`` on edges (each edge "belongs to" its
-  lower-weight endpoint, exactly the ``N≥`` half of the split), and the
-  Line-4 doubling step of Algorithm 1 is a lookup on the prefix index.
+  lower-weight endpoint, exactly the ``N≥`` half of the split).
 
 All per-query subgraph extraction therefore stays inside Catalyst; no
 shuffling of the full graph is needed to start a local search.
@@ -22,10 +24,10 @@ from typing import Optional, Tuple
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession, Window
+from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.ref.graph import RefGraph
+from repro.ref.graph import PrefixIndex, PrefixLookups, RefGraph
 
 NEG_INF = float("-inf")
 VERTEX_SCHEMA = "id long, weight double"
@@ -64,16 +66,18 @@ def canonical_frames(
 
 
 @dataclass
-class SparkGraph:
+class SparkGraph(PrefixLookups):
     """Vertex-weighted undirected graph in DataFrames.
 
     ``vertices``: ``id: long, weight: double`` (weights pairwise distinct).
     ``edges``: canonical ``src < dst`` rows with both endpoint weights and
-    ``w_min``/``w_max`` precomputed.
+    ``w_min``/``w_max`` precomputed. ``index``: the graph's prefix index,
+    on the driver; the growth driver's lookups read it.
     """
 
     vertices: DataFrame
     edges: DataFrame
+    index: PrefixIndex
     _prefix: Optional[DataFrame] = None
 
     # ------------------------------------------------------------ construct
@@ -100,15 +104,12 @@ class SparkGraph:
             )
             .cache()
         )
-        return SparkGraph(vertices=v, edges=e)
+        index = PrefixIndex.build(vertices["id"], vertices["weight"], edges["src"], edges["dst"])
+        return SparkGraph(vertices=v, edges=e, index=index)
 
     # ----------------------------------------------------------- basic info
     def counts(self) -> Tuple[int, int]:
         return self.vertices.count(), self.edges.count()
-
-    def size(self) -> int:
-        n, m = self.counts()
-        return n + m
 
     def half_edges(self) -> DataFrame:
         """Both orientations: ``(u, v, w_u, w_v)`` — 2m rows."""
@@ -129,97 +130,40 @@ class SparkGraph:
         return SparkGraph(
             vertices=self.vertices.filter(F.col("weight") >= tau),
             edges=self.edges.filter(F.col("w_min") >= tau),
+            index=self.index.head(self.r_for_tau(tau)),
         )
 
     def prefix_index(self) -> DataFrame:
-        """Weight-ordered prefix sizes: ``(id, weight, rank, cum_size)``.
-
-        ``cum_size`` of the r-th row is ``size(G≥weight_r)``. Built once and
-        cached; a single window cumsum over ``up_degree`` (the number of
-        edges whose lower-weight endpoint is this vertex — i.e. |N≥(u)|).
-        """
+        """The prefix index as a DataFrame ``(id, weight, rank, up_degree,
+        cum_size)``: ``cum_size`` of the r-th row is ``size(G≥weight_r)``
+        and ``up_degree`` is |N≥(id)|, the edges that row adds."""
         if self._prefix is None:
-            low_end = self.edges.select(
-                F.when(F.col("w_src") < F.col("w_dst"), F.col("src"))
-                .otherwise(F.col("dst"))
-                .alias("id")
-            )
-            up_deg = low_end.groupBy("id").agg(F.count("*").alias("up_degree"))
-            win = Window.orderBy(F.col("weight").desc())
-            self._prefix = (
-                self.vertices.join(up_deg, "id", "left")
-                .fillna(0, subset=["up_degree"])
-                .withColumn("rank", F.row_number().over(win))
-                .withColumn(
-                    "cum_size",
-                    F.col("rank")
-                    + F.sum("up_degree").over(
-                        win.rowsBetween(Window.unboundedPreceding, 0)
-                    ),
-                )
-                .select("id", "weight", "rank", "up_degree", "cum_size")
-                .cache()
+            idx = self.index
+            self._prefix = self.vertices.sparkSession.createDataFrame(
+                pd.DataFrame({
+                    "id": idx.ids,
+                    "weight": idx.weights,
+                    "rank": np.arange(1, idx.n + 1),
+                    "up_degree": np.diff(idx.cum_size, prepend=0) - 1,
+                    "cum_size": idx.cum_size,
+                }),
+                schema="id long, weight double, rank long, up_degree long, cum_size long",
             )
         return self._prefix
-
-    def tau_for_size(self, target: int) -> float:
-        """Largest τ with ``size(G≥τ) ≥ target`` (Line 4 of Algorithm 1);
-        falls back to τ_min when even the whole graph is smaller."""
-        idx = self.prefix_index()
-        row = idx.filter(F.col("cum_size") >= target).agg(
-            F.max("weight").alias("tau")
-        ).collect()[0]
-        if row["tau"] is not None:
-            return float(row["tau"])
-        return float(idx.agg(F.min("weight")).collect()[0][0])
-
-    def tau_for_rank(self, r: int) -> float:
-        """Weight of the r-th highest-weight vertex (τ₁ heuristic, Line 1)."""
-        idx = self.prefix_index()
-        row = idx.filter(F.col("rank") <= r).agg(F.min("weight")).collect()[0]
-        return float(row[0])
-
-    def size_at_tau(self, tau: float) -> int:
-        idx = self.prefix_index()
-        row = idx.filter(F.col("weight") >= tau).agg(
-            F.max("cum_size").alias("s")
-        ).collect()[0]
-        return int(row["s"] or 0)
-
-    def tau_min(self) -> Optional[float]:
-        """Smallest vertex weight; ``None`` for the empty graph."""
-        w = self.vertices.agg(F.min("weight")).collect()[0][0]
-        return None if w is None else float(w)
 
     def to_ref(self, max_rows: int) -> Optional[RefGraph]:
         """This graph as a :class:`RefGraph` on the driver, or ``None`` when
         it has more than ``max_rows`` rows (vertices + edges).
 
-        Two collects, vertices then edges, each capped at the rows still
-        under the budget, so a graph over it is never shipped whole.
+        The prefix index holds the vertices and the size, so a graph over
+        the budget costs no Spark job and one under it a single collect, of
+        its edges.
         """
-        v = self.vertices.select("id", "weight").limit(max_rows + 1).toPandas()
-        if len(v) > max_rows:
+        idx = self.index
+        if self.prefix_size(idx.n) > max_rows:
             return None
-        e = self.edges.select("src", "dst").limit(max_rows + 1 - len(v)).toPandas()
-        if len(v) + len(e) > max_rows:
-            return None
+        e = self.edges.select("src", "dst").toPandas()
         return RefGraph(
-            dict(zip(v["id"].tolist(), v["weight"].tolist())),
+            dict(zip(idx.ids.tolist(), idx.weights.tolist())),
             zip(e["src"].tolist(), e["dst"].tolist()),
         )
-
-    # ----------------------------------------------------------- conversion
-    def to_pandas(self) -> Tuple[pd.DataFrame, pd.DataFrame]:
-        return (
-            self.vertices.toPandas(),
-            self.edges.select("src", "dst").toPandas(),
-        )
-
-
-def build_spark_graph(spark: SparkSession, name: str, scale: float = 1.0) -> SparkGraph:
-    """Named analog dataset as a SparkGraph (weights = PageRank ranks)."""
-    from repro.graphs.weights import build_dataset_pandas
-
-    vertices, edges = build_dataset_pandas(name, scale=scale)
-    return SparkGraph.from_pandas(spark, vertices, edges)

@@ -55,9 +55,9 @@ def enum_ic(g: RefGraph, peel: PeelResult, k: int) -> List[Community]:
     Mirrors Algorithm 3: processes the last ``k`` keynodes in decreasing
     weight order, builds gp(u) from cvs, discovers child communities through
     neighbors already assigned to a key (``v2key`` = DSU + root→key map),
-    and links them in ``Ch(u)``.
+    and links them in ``Ch(u)``. ``k ≤ 0`` asks for nothing; ``None`` for all.
     """
-    keys = peel.keys[-k:] if k is not None else list(peel.keys)
+    keys = list(peel.keys) if k is None else peel.keys[max(len(peel.keys) - k, 0):]
     if not keys:
         return []
     pos = {v: i for i, v in enumerate(peel.cvs)}

@@ -8,15 +8,17 @@ largest τ whose ``size(G≥τ)`` (vertices + edges) reaches ``next_size`` of
 the stage's size (Line 4: a factor of at least δ, :func:`growth`), until
 the whole graph has been a stage. The graph supplies the weight-ordered
 prefix-size lookups of the graph organization (§3.1): ``tau_for_rank``,
-``tau_for_size`` and ``tau_min``, which ``RefGraph`` and ``SparkGraph``
-both implement. A stage function does Line 3, the count, and returns its
+``tau_for_size`` and ``tau_min``, which ``RefGraph``, ``SparkGraph`` and
+the semi-external ``EdgeBlockStore`` all answer from their
+``PrefixIndex`` (``repro.ref.graph``). A stage function does Line 3, the count, and returns its
 :class:`Stage` record with whatever its variant enumerates from.
 
 :func:`grow_top_k` stops the growth at ``count ≥ k`` and enumerates the
 last stage. LocalSearch-P (``ref.progressive``), non-containment
 (``ref.noncontainment``), LocalSearch-Truss (``ref.truss``), the
-Backward/OA baselines (``ref.baselines``) and the Spark drivers
-(``repro.core``) each supply only a stage function and an enumeration.
+Backward/OA baselines (``ref.baselines``), the Spark drivers
+(``repro.core``) and LocalSearch-SE (``repro.semi_external``) each supply
+only a stage function and an enumeration.
 
 Here, :func:`local_search` peels the top-r prefix in place with CountIC
 (the N≥ split, §3.1 ★★: no per-stage graph reconstruction) and finishes
@@ -72,7 +74,7 @@ def grow(
 ) -> Iterator[Tuple[Stage, Any]]:
     """Algorithm 1, Lines 1–5: yield ``stage(τ_i)`` for τ₁, τ₂, … until the
     stage on the whole graph. Yields nothing for ``rank ≤ 0`` or the empty
-    graph. ``g`` is a ``RefGraph`` or a ``SparkGraph``."""
+    graph. ``g`` is a ``RefGraph``, a ``SparkGraph`` or an ``EdgeBlockStore``."""
     if rank <= 0:
         return
     tau_min = g.tau_min()
@@ -130,7 +132,10 @@ def tau_star_size(g: RefGraph, k: int, gamma: int) -> int:
     Oracle for the instance-optimality bound (test-only; O(n) CountIC calls
     avoided by a single full peel: τ* is the k-th largest keynode weight of
     the full graph, and the optimal subgraph is the prefix down to it).
+    ``k ≤ 0`` needs no subgraph: 0.
     """
+    if k <= 0:
+        return 0
     peel = count_ic(g, gamma)
     if peel.count < k:
         return g.size

@@ -146,13 +146,14 @@ def count_icc(
 
 
 def enum_icc(g: RefGraph, peel: TrussPeelResult, k: int) -> List[Community]:
-    """Top-k influential γ-truss communities, highest influence first."""
+    """Top-k influential γ-truss communities, highest influence first
+    (nothing for ``k ≤ 0``)."""
     group_w: Dict[Edge, float] = {}
     for u, grp in zip(peel.keys, peel.edge_groups):
         for e in grp:
             group_w[e] = g.weight[u]
     out: List[Community] = []
-    for u in reversed(peel.keys[-k:]):
+    for u in reversed(peel.keys[max(len(peel.keys) - k, 0):]):
         tau = g.weight[u]
         comp = {u}
         stack = [u]

@@ -2,10 +2,16 @@
 
 **LocalSearch-SE** is the §3.1 Remark's algorithm: the progressive local
 search where each subgraph enlargement loads the next consecutive run of
-weight-sorted edge blocks from disk. Only the prefix of the file covering
-the accessed subgraph ``G≥τ_h`` is ever read, and only those edges are
-resident — both the I/O and the memory footprint inherit the
-instance-optimal locality.
+weight-sorted edge blocks from disk. Its growth loop is the shared
+Algorithm-1 driver (``repro.ref.local_search.grow_top_k``) over the store's
+prefix-index lookups, which the memory-resident vertex table answers. Edges
+are stored by decreasing ``w_min``, so the edges of ``G≥τ`` are exactly the
+first ``size_at_tau(τ) − r_for_tau(τ)`` of the file: a stage reads blocks
+until that many are in, builds ``G≥τ`` from them and the top
+``r_for_tau(τ)`` vertices, and peels it with CountIC (then EnumIC). Only the
+prefix of the file covering the accessed subgraph ``G≥τ_h`` is ever read,
+and only those edges are resident — both the I/O and the memory footprint
+inherit the instance-optimal locality.
 
 **OnlineAll-SE** is the global semi-external baseline. [27]'s variant keeps
 a memory-budget worth of edges and evicts community edges after each batch;
@@ -29,14 +35,14 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-import pandas as pd
 
 from repro.ref.count_ic import count_ic
 from repro.ref.enum_ic import Community, enum_ic
 from repro.ref.graph import NEG_INF, RefGraph
+from repro.ref.local_search import Stage, grow_top_k, growth
 
 from .storage import EdgeBlockStore
 
@@ -49,59 +55,27 @@ def local_search_se(
     store: EdgeBlockStore, k: int, gamma: int, delta: float = 2.0
 ) -> Tuple[List[Community], EdgeBlockStore]:
     """Top-k communities reading only the needed weight-prefix of the file."""
-    vp = store.vertices()
-    weights: Dict[int, float] = dict(
-        zip(vp["id"].astype(int), vp["weight"].astype(float))
-    )
-    order = sorted(weights, key=weights.get, reverse=True)
-    loaded: List[Tuple[int, int]] = []
-    loaded_adj: Dict[int, List[int]] = {}
-    next_block = 0
-    frontier_w = float("inf")  # min w_min loaded so far
+    next_size = growth(delta)
+    blocks = (store.read_block(i) for i in range(store.n_blocks))
+    src: List[int] = []  # the loaded edge prefix, in file order
+    dst: List[int] = []
 
-    def load_until(tau: float) -> None:
-        """Sequentially read blocks until every edge with w_min ≥ τ is in."""
-        nonlocal next_block, frontier_w
-        while next_block < store.n_blocks and frontier_w >= tau:
-            blk = store.read_block(next_block)
-            next_block += 1
-            for a, b in zip(blk["src"].astype(int), blk["dst"].astype(int)):
-                loaded.append((a, b))
-                loaded_adj.setdefault(a, []).append(b)
-                loaded_adj.setdefault(b, []).append(a)
-            if len(blk):
-                frontier_w = float(blk["w_min"].iloc[-1])
-            store.note_resident(len(loaded))
-        if next_block >= store.n_blocks:
-            frontier_w = NEG_INF
-
-    # Algorithm 1's driver over prefixes of the vertex order.
-    r = min(len(order), k + gamma)
-    keep = set()
-    edge_count = 0
-    while True:
-        while len(keep) < r:  # extend prefix, keeping the edge count current
-            v = order[len(keep)]
-            load_until(weights[v])
-            edge_count += sum(1 for x in loaded_adj.get(v, ()) if x in keep)
-            keep.add(v)
+    def stage(tau: float):
+        r = store.r_for_tau(tau)
+        m = store.size_at_tau(tau) - r  # |E(G≥τ)|: the first m edges
+        while len(src) < m:
+            blk = next(blocks)
+            src.extend(blk["src"].tolist())
+            dst.extend(blk["dst"].tolist())
+            store.note_resident(len(src))
+        top = store.index.head(r)
         sub = RefGraph(
-            {v: weights[v] for v in keep},
-            [(a, b) for a, b in loaded if a in keep and b in keep],
+            dict(zip(top.ids.tolist(), top.weights.tolist())), zip(src[:m], dst[:m])
         )
         peel = count_ic(sub, gamma)
-        if peel.count >= k or r == len(order):
-            break
-        target = int(delta * sub.size) + 1
-        while r < len(order):  # grow prefix until induced size ≥ target
-            r += 1
-            v = order[r - 1]
-            load_until(weights[v])
-            edge_count += sum(1 for x in loaded_adj.get(v, ()) if x in keep)
-            keep.add(v)
-            if len(keep) + edge_count >= target:
-                break
-    return enum_ic(sub, peel, k), store
+        return Stage(tau, sub.size, peel.count), lambda k: enum_ic(sub, peel, k)
+
+    return grow_top_k(store, k, k + gamma, next_size, stage).communities, store
 
 
 # --------------------------------------------------------------------------

@@ -4,8 +4,13 @@ Following the §3.1 Remark / [27]: edges are sorted in **decreasing weight
 order** — the weight of an edge being the minimum weight of its endpoints
 (``w_min``) — and stored in fixed-size parquet blocks, so the edges of
 ``G≥τ_{i+1}`` that are not in ``G≥τ_i`` occupy a consecutive run of blocks
-and are loaded sequentially. Vertex-level information (the weights array)
-is assumed memory-resident, as in the paper's semi-external model.
+and are loaded sequentially. Vertex-level information is assumed
+memory-resident, as in the paper's semi-external model: ``vertices.parquet``
+is the graph's prefix index (``repro.ref.graph.PrefixIndex``), one row per
+vertex in decreasing weight order with its ``cum_size`` = ``size(G≥weight)``.
+An opened store answers Algorithm 1's lookups from that table, and the
+edges of ``G≥τ`` are the first ``size_at_tau(τ) − r_for_tau(τ)`` edges of
+the block sequence, so a lookup reads no edge block.
 
 ``EdgeBlockStore`` accounts every read at block granularity (bytes and
 block count), which Eval-VI reports alongside wall time and peak resident
@@ -16,12 +21,13 @@ from __future__ import annotations
 import glob
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, List, Tuple
 
 import numpy as np
 import pandas as pd
 
-from repro.ref.graph import RefGraph
+from repro.ref.graph import PrefixIndex, PrefixLookups, RefGraph
 
 
 @dataclass
@@ -33,7 +39,7 @@ class IOStats:
 
 
 @dataclass
-class EdgeBlockStore:
+class EdgeBlockStore(PrefixLookups):
     """Weight-sorted edge blocks on the local filesystem."""
 
     path: str
@@ -43,11 +49,11 @@ class EdgeBlockStore:
     # ------------------------------------------------------------ write side
     @staticmethod
     def write(path: str, g: RefGraph, block_edges: int = 4096) -> "EdgeBlockStore":
-        """Persist ``g``: vertices.parquet + block_%05d.parquet (desc w_min)."""
+        """Persist ``g``: vertices.parquet (its prefix index) +
+        block_%05d.parquet (edges by decreasing w_min)."""
         os.makedirs(path, exist_ok=True)
-        vp = pd.DataFrame(
-            {"id": list(g.weight), "weight": [g.weight[v] for v in g.weight]}
-        )
+        idx = g.index
+        vp = pd.DataFrame({"id": idx.ids, "weight": idx.weights, "cum_size": idx.cum_size})
         vp.to_parquet(os.path.join(path, "vertices.parquet"))
         el = g.edge_list()
         w_min = np.array([min(g.weight[a], g.weight[b]) for a, b in el])
@@ -70,9 +76,16 @@ class EdgeBlockStore:
 
     # ------------------------------------------------------------- read side
     def vertices(self) -> pd.DataFrame:
-        """Vertex table — memory-resident per the semi-external model
-        (not counted as edge I/O)."""
+        """Vertex table ``(id, weight, cum_size)`` in decreasing weight order
+        — memory-resident per the semi-external model (not counted as edge
+        I/O)."""
         return pd.read_parquet(os.path.join(self.path, "vertices.parquet"))
+
+    @cached_property
+    def index(self) -> PrefixIndex:
+        """The prefix index, read from the vertex table on first use."""
+        vp = self.vertices()
+        return PrefixIndex(vp["id"], vp["weight"], vp["cum_size"])
 
     @property
     def n_blocks(self) -> int:

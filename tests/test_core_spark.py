@@ -6,6 +6,7 @@ asserts fan out over the shared results to keep Spark wall-time bounded.
 import pandas as pd
 import pytest
 
+import repro.core.enum_ic as core_enum
 import repro.core.local_search as core_ls
 import repro.core.progressive as core_p
 from repro.baselines.global_search import forward_spark, online_all_spark
@@ -102,8 +103,38 @@ class LocalSearchChecks:
             assert res.accessed_size <= 2 * delta * tau_star_size(ref, k, 3) + 1
 
 
+def record_collects(monkeypatch, module):
+    """Record every ``(labels, edges, keys)`` the driver-side BFS receives."""
+    got = []
+    components = module._components_pandas
+    monkeypatch.setattr(
+        module, "_components_pandas",
+        lambda labels, edges, keys: got.append((labels, edges, keys))
+        or components(labels, edges, keys),
+    )
+    return got
+
+
+def assert_only_live_rows(ref, labels, edges, tau):
+    """Only vertices with T ≥ τ, and exactly the edges between them, arrive."""
+    live = set(labels["id"])
+    assert (labels["T"] >= tau).all()
+    assert set(zip(edges["src"], edges["dst"])) == {
+        (a, b) for a, b in ref.edge_list() if a in live and b in live
+    }
+    assert len(edges) < ref.subgraph_ge(tau).n_edges
+
+
 class TestLocalSearchSparkSurvival(LocalSearchChecks):
     ROUTE = SURVIVAL
+
+    def test_enum_collects_only_live_rows(self, g3, monkeypatch):
+        ref, sg = g3
+        got = record_collects(monkeypatch, core_enum)
+        assert local_search_spark(sg, k=4, gamma=3).communities == TOP4
+        [(labels, edges, keys)] = got
+        assert keys[-1][1] == 12.0  # τ_k
+        assert_only_live_rows(ref, labels, edges, 12.0)
 
 
 class TestLocalSearchSpark(LocalSearchChecks):
@@ -171,6 +202,14 @@ class ProgressiveChecks:
 
 class TestProgressiveSparkSurvival(ProgressiveChecks):
     ROUTE = SURVIVAL
+
+    def test_stream_collects_only_live_rows(self, g3, monkeypatch):
+        ref, sg = g3
+        got = record_collects(monkeypatch, core_p)
+        assert next(local_search_progressive_spark(sg, gamma=3)) == TOP4[0]
+        [(labels, edges, keys)] = got
+        assert keys[-1][1] == 18.0  # the lowest new keynode of stage 1
+        assert_only_live_rows(ref, labels, edges, 18.0)
 
 
 class TestProgressiveSpark(ProgressiveChecks):

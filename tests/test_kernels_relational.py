@@ -3,7 +3,8 @@
 Everything here is plain relational algebra (degrees, induced-subgraph
 extraction, the §3.1 prefix-size index, triangle enumeration/support), so
 ``repro.oracle.assert_equivalent`` re-runs each query on DuckDB over the
-same pandas inputs and diffs the sorted rows.
+same pandas inputs and diffs the sorted rows. The prefix index's lookups are
+checked on all three graph types that answer from it.
 """
 import pandas as pd
 import pytest
@@ -13,6 +14,7 @@ from repro.graphs.storage import SparkGraph
 from repro.kernels.degrees import degrees
 from repro.kernels.triangles import edge_support, triangle_count, triangles
 from repro.oracle import assert_equivalent
+from repro.semi_external.storage import EdgeBlockStore
 
 from .paper_graphs import fig3_graph
 from .spark_helpers import random_ref_graph, ref_to_pandas, ref_to_spark
@@ -115,11 +117,28 @@ class TestPrefixIndex:
         idx = sg.prefix_index().orderBy("rank").toPandas()
         assert list(idx["cum_size"]) == [ref.prefix_size(r) for r in range(1, ref.n + 1)]
 
-    def test_tau_for_size_matches_ref(self, grand):
-        ref, sg, _, _ = grand
-        for target in [1, 10, 50, ref.size // 2, ref.size, ref.size * 3]:
-            r = ref.r_for_size(target)
-            assert sg.tau_for_size(target) == ref.weight[ref.order[r - 1]]
+    @pytest.mark.parametrize("graph", ["g3", "grand"], ids=["fig3", "random"])
+    def test_lookups_agree(self, request, graph, tmp_path):
+        """``RefGraph``, ``SparkGraph`` and an opened ``EdgeBlockStore`` give
+        the growth driver the same answers, and those are the graph's."""
+        ref, sg, _, _ = request.getfixturevalue(graph)
+        EdgeBlockStore.write(str(tmp_path / "store"), ref, block_edges=8)
+        store = EdgeBlockStore.open(str(tmp_path / "store"))
+        ws = sorted(ref.weight.values(), reverse=True)
+        edges_w = [min(ref.weight[a], ref.weight[b]) for a, b in ref.edge_list()]
+
+        def size_at(tau):
+            return sum(w >= tau for w in ws) + sum(w >= tau for w in edges_w)
+
+        taus = ws + [w - 0.5 for w in ws] + [ws[0] + 1]
+        targets = range(1, ref.size + 3)
+        for g in (ref, sg, store):
+            assert g.tau_min() == ws[-1]
+            assert [g.tau_for_rank(r) for r in range(1, ref.n + 3)] == ws + [ws[-1]] * 2
+            assert [g.size_at_tau(t) for t in taus] == [size_at(t) for t in taus]
+            assert [g.tau_for_size(t) for t in targets] == [
+                max([w for w in ws if size_at(w) >= t], default=ws[-1]) for t in targets
+            ]
 
     def test_tau_for_rank(self, g3):
         ref, sg, _, _ = g3

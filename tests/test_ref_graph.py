@@ -53,8 +53,11 @@ class TestOrganization:
             assert up | down == g3.adj[u]
 
     def test_every_edge_counted_once_in_prefix(self, g3):
-        # Σ up_degrees == |E| (each edge charged to its lower endpoint).
-        assert sum(e.up_degree for e in g3.prefix) == g3.n_edges
+        # Each edge is charged to its lower endpoint: appending the r-th
+        # vertex adds it and its |N≥|, and Σ |N≥| == |E|.
+        up = [g3.prefix_size(r) - g3.prefix_size(r - 1) - 1 for r in range(1, g3.n + 1)]
+        assert up == [len(g3.n_ge(v)) for v in g3.order]
+        assert sum(up) == g3.n_edges
 
     def test_prefix_size_monotone(self, g3):
         sizes = [g3.prefix_size(r) for r in range(1, g3.n + 1)]

@@ -10,12 +10,17 @@ from hypothesis import given, settings
 
 from repro.ref.baselines import backward_arith, forward, local_search_oa, online_all
 from repro.ref.count_ic import count_ic, gamma_core_set, keynodes_brute, survival_threshold_brute
-from repro.ref.enum_ic import all_communities_brute, enum_ic, ic_brute
+from repro.ref.enum_ic import all_communities_brute, enum_ic, ic_brute, top_k_via_count
 from repro.ref.graph import NEG_INF, RefGraph
 from repro.ref.local_search import local_search, tau_star_size
 from repro.ref.noncontainment import noncontainment_brute, top_k_noncontainment
 from repro.ref.progressive import local_search_progressive
-from repro.ref.truss import local_search_truss, truss_community_brute, truss_keynodes_brute
+from repro.ref.truss import (
+    global_search_truss,
+    local_search_truss,
+    truss_community_brute,
+    truss_keynodes_brute,
+)
 
 
 @st.composite
@@ -73,6 +78,7 @@ def test_local_search_equals_global_answers(g, gamma, k):
     top = max(k, 0)  # k ≤ 0 asks for nothing
     want = all_communities_brute(g, gamma)[:top]
     assert local_search(g, k, gamma).communities == want
+    assert top_k_via_count(g, k, gamma) == want
     assert forward(g, k, gamma) == want
     assert list(reversed(online_all(g, gamma, k=k))) == want
     assert backward_arith(g, k, gamma).communities == want
@@ -84,6 +90,9 @@ def test_local_search_equals_global_answers(g, gamma, k):
         for u in reversed(truss_keynodes_brute(g, truss_gamma))
     ][:top]
     assert local_search_truss(g, k, truss_gamma).communities == truss_want
+    assert global_search_truss(g, k, truss_gamma) == truss_want
+    if k <= 0:
+        assert tau_star_size(g, k, gamma) == 0  # no community needs no subgraph
 
 
 @settings(max_examples=30, deadline=None)

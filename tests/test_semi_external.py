@@ -2,8 +2,10 @@
 import numpy as np
 import pytest
 
+import repro.semi_external.algorithms as se_alg
 from repro.graphs.weights import as_ref_graph, build_dataset_pandas
 from repro.ref.enum_ic import all_communities_brute
+from repro.ref.graph import RefGraph
 from repro.ref.local_search import local_search
 from repro.semi_external.algorithms import local_search_se, online_all_se
 from repro.semi_external.storage import EdgeBlockStore
@@ -59,6 +61,61 @@ class TestLocalSearchSE:
             store = EdgeBlockStore.write(str(tmp_path / f"r{seed}"), g, block_edges=16)
             comms, _ = local_search_se(store, k=3, gamma=3)
             assert comms == local_search(g, 3, 3).communities
+
+
+def se_stage_sizes(store, k, gamma, delta=2.0):
+    """LocalSearch-SE's answer and the size of every stage's subgraph, read
+    off the ``count_ic`` calls (one per stage, on exactly ``G≥τ``)."""
+    sizes = []
+    count_ic = se_alg.count_ic
+
+    def recording(sub, *args, **kwargs):
+        sizes.append(sub.size)
+        return count_ic(sub, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(se_alg, "count_ic", recording)
+        comms, _ = local_search_se(store, k, gamma, delta)
+    return comms, sizes
+
+
+class TestLocalSearchSEStages:
+    """LocalSearch-SE runs the shared growth driver: its stages are ``ref``'s."""
+
+    @pytest.mark.parametrize("k, sizes", [(4, [18, 36]), (6, [21, 42, 69])])
+    def test_fig3_stages_equal_ref(self, fig3_store, k, sizes):
+        g, store = fig3_store
+        want = local_search(g, k, 3)
+        comms, got = se_stage_sizes(store, k, 3)
+        assert got == sizes == [st.size for st in want.stages]
+        assert comms == want.communities
+
+    def test_random_stages_equal_ref(self, tmp_path):
+        for seed in (1, 2, 3):
+            g = random_ref_graph(60, 200, seed=seed)
+            path = str(tmp_path / f"r{seed}")
+            EdgeBlockStore.write(path, g, block_edges=16)
+            for k, gamma, delta in ((1, 2, 2.0), (3, 3, 2.0), (6, 2, 1.5), (4, 3, 3.0)):
+                want = local_search(g, k, gamma, delta)
+                comms, got = se_stage_sizes(EdgeBlockStore.open(path), k, gamma, delta)
+                assert got == [st.size for st in want.stages]
+                assert comms == want.communities
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_k_nonpositive_reads_nothing(self, fig3_store, k):
+        _, store = fig3_store
+        assert se_stage_sizes(store, k, 3) == ([], [])
+        assert store.stats.blocks_read == 0
+
+    def test_empty_store(self, tmp_path):
+        store = EdgeBlockStore.write(str(tmp_path / "empty"), RefGraph({}, []))
+        assert se_stage_sizes(EdgeBlockStore.open(store.path), 3, 2) == ([], [])
+
+    @pytest.mark.parametrize("delta", [1.0, 0.5])
+    def test_delta_at_most_one_raises(self, fig3_store, delta):
+        _, store = fig3_store
+        with pytest.raises(ValueError, match="delta must be > 1"):
+            local_search_se(store, 4, 3, delta)
 
 
 class TestOnlineAllSE:
