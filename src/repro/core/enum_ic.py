@@ -1,33 +1,26 @@
-"""Community enumeration from a survival labelling (distributed EnumIC).
+"""Community enumeration from a survival labelling (EnumIC on the survival
+route).
 
 Given the survival threshold ``T`` on a subgraph (the distributed CountIC
 output, see ``repro.kernels.survival``), the influential γ-community of a
 keynode ``u`` is the connected component of ``u`` in the subgraph induced by
 ``{v : T(v) ≥ ω(u)}``.
 
-Two interchangeable implementations (equality is property-tested):
-
-* ``enumerate_driver`` — collects the part of the **accessed subgraph**
-  the top k live in (labels with ``T ≥ τ_k`` and the edges between them)
-  to the driver and extracts the top-k components there. The paper's whole
-  point is that this subgraph is tiny (≤0.073 % of G at k=10, γ=10 across
-  its datasets), so after the distributed counting phase the driver-side
-  extraction is O(k · size(G≥τ_h)) on a few thousand rows. This mirrors the
-  paper's Algorithm 3 running on the final subgraph.
-* ``enumerate_distributed`` — per top-k keynode, a hash-min connected-
-  components run on the T-filtered DataFrame. Fully distributed; used when
-  the final subgraph is too large to collect.
+``enumerate_driver`` collects the part of the **accessed subgraph** the top
+k live in (labels with ``T ≥ τ_k`` and the edges between them,
+:func:`collect_live`) to the driver and extracts the top-k components there.
+The paper's whole point is that this subgraph is tiny (≤0.073 % of G at
+k=10, γ=10 across its datasets), so after the distributed counting phase
+the driver-side extraction is O(k · size(G≥τ_h)) on a few thousand rows.
+This mirrors the paper's Algorithm 3 running on the final subgraph.
 """
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Tuple
 
-import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
-
-from repro.kernels.connected_components import connected_components
 
 Community = Tuple[float, FrozenSet[int]]
 
@@ -69,13 +62,14 @@ def _components_pandas(
 def collect_live(
     labels: DataFrame, edges: DataFrame, tau: float
 ) -> Tuple[pd.DataFrame, pd.DataFrame]:
-    """Collect the labels with ``T ≥ τ`` and only the edges between them.
+    """Collect the labels ``(id, weight, T)`` with ``T ≥ τ`` and only the
+    edges ``(src, dst)`` between them.
 
     The community of a keynode of weight ≥ τ lies inside ``{v : T(v) ≥ τ}``,
     so nothing else needs to reach the driver; the edges are semi-joined
     down to that set before the collect.
     """
-    live = labels.filter(F.col("T") >= tau).select("id", "T")
+    live = labels.filter(F.col("T") >= tau).select("id", "weight", "T")
     ids = live.select("id")
     e = edges.join(ids.withColumnRenamed("id", "src"), "src", "left_semi").join(
         ids.withColumnRenamed("id", "dst"), "dst", "left_semi"
@@ -89,23 +83,3 @@ def enumerate_driver(labels: DataFrame, edges: DataFrame, k: int) -> List[Commun
     if not keys:
         return []
     return _components_pandas(*collect_live(labels, edges, keys[-1][1]), keys)
-
-
-def enumerate_distributed(
-    labels: DataFrame, edges: DataFrame, k: int
-) -> List[Community]:
-    """Per-keynode distributed connected components on the T-filtered graph."""
-    keys = top_keynodes(labels, k)
-    out: List[Community] = []
-    for u, w in keys:
-        vs = labels.filter(F.col("T") >= w).select("id")
-        es = (
-            edges.join(vs.withColumnRenamed("id", "src"), "src")
-            .join(vs.withColumnRenamed("id", "dst"), "dst")
-            .select("src", "dst")
-        )
-        comp = connected_components(vs, es)
-        cid = comp.filter(F.col("id") == u).collect()[0]["component"]
-        members = comp.filter(F.col("component") == cid).select("id").collect()
-        out.append((w, frozenset(int(r["id"]) for r in members)))
-    return out

@@ -1,20 +1,23 @@
-"""Distributed LocalSearch (Algorithm 1) over the Spark substrate.
+"""Distributed LocalSearch (Algorithm 1) over the Spark substrate, and the
+stage router every Spark variant runs.
 
 The growth loop is the shared Algorithm-1 driver
 (``repro.ref.local_search.grow_top_k``) over ``SparkGraph``'s prefix-index
 lookups; this module supplies the stage and its enumeration:
 
 * Line 1 — τ₁ = weight of the (k+γ)-th vertex, from the prefix index;
-* Line 3 — CountIC(G≥τ_i), by one of two routes, chosen per stage:
+* Line 3 — CountIC(G≥τ_i), by one of two routes, chosen per stage by
+  :func:`spark_stage`:
 
   - **driver**: when ``G≥τ_i`` has at most :func:`driver_rows_budget` rows,
     it is collected once (``SparkGraph.to_ref``: its vertices and size are
-    the prefix index's, so one collect of its edges) and peeled with the
-    exact linear CountIC (``repro.ref.count_ic``). The paper's point
-    (Lemma 3.8) is that ``G≥τ*`` is tiny, so this is the common case, and it
-    costs one Spark job where the fixed point costs a few dozen (a join, an
-    aggregate, a count and a checkpoint per superstep), which dominate on a
-    subgraph of a few hundred rows;
+    the prefix index's, so one collect of its edges) and the ``ref``
+    variant's own stage runs on it — here ``peel_stage``, the exact linear
+    CountIC (``repro.ref.count_ic``). The paper's point (Lemma 3.8) is that
+    ``G≥τ*`` is tiny, so this is the common case, and it costs one Spark job
+    where the fixed point costs a few dozen (a join, an aggregate, a count
+    and a checkpoint per superstep), which dominate on a subgraph of a few
+    hundred rows;
   - **survival**: otherwise, the survival-threshold fixed point
     (``repro.kernels.survival``) on the Catalyst-filtered subgraph,
     counting vertices with ``T = ω``;
@@ -25,19 +28,23 @@ lookups; this module supplies the stage and its enumeration:
 * Line 6 — EnumIC on the final subgraph: ``repro.ref.enum_ic`` on the
   collected graph, or ``enumerate_driver`` on the survival labelling.
 
+LocalSearch-P, non-containment and LocalSearch-Truss (``repro.core``) run
+the same router with their own ``ref`` stage and distributed stage.
+
 Only the weight-suffix subgraph ``G≥τ_i`` is ever read — the locality that
 makes LocalSearch instance-optimal carries over to both routes: a stage
 processes exactly ``size(G≥τ_i)`` rows.
 """
 from __future__ import annotations
 
+from typing import Any, Callable, Tuple
+
 from pyspark.sql import SparkSession
 
 from repro.graphs.storage import SparkGraph
 from repro.kernels.survival import count_keynodes, survival_threshold
-from repro.ref.count_ic import count_ic
-from repro.ref.enum_ic import enum_ic
-from repro.ref.local_search import DRIVER, LocalSearchResult, Stage, grow_top_k, growth
+from repro.ref.graph import RefGraph
+from repro.ref.local_search import LocalSearchResult, Stage, grow_top_k, growth, peel_stage
 
 from .enum_ic import enumerate_driver
 
@@ -47,7 +54,7 @@ from .enum_ic import enumerate_driver
 #: orkut analogs at scale 0.3 (tracemalloc).
 DRIVER_BYTES_PER_ROW = 512
 
-SURVIVAL = "survival"  # the other stage route is ``DRIVER``
+SURVIVAL = "survival"  # the fixed-point route; a ``ref`` stage runs as ``DRIVER``
 
 
 def driver_rows_budget(spark: SparkSession) -> int:
@@ -65,6 +72,30 @@ def driver_rows_budget(spark: SparkSession) -> int:
     return cap // DRIVER_BYTES_PER_ROW
 
 
+def spark_stage(
+    sg: SparkGraph,
+    ref_stage: Callable[[RefGraph], Callable[..., Tuple[Stage, Any]]],
+    distributed_stage: Callable[..., Tuple[Stage, Any]],
+) -> Callable[..., Tuple[Stage, Any]]:
+    """A growth-driver stage over ``sg`` that picks its route per stage.
+
+    ``stage(τ, …)`` slices ``G≥τ`` and, when it fits the driver budget,
+    collects it and runs ``ref_stage(g)(τ, …)``: the ``ref`` variant's own
+    stage on the collected ``RefGraph``, route ``DRIVER``. Otherwise it runs
+    ``distributed_stage(G≥τ, τ, …)``.
+    """
+    budget = driver_rows_budget(sg.vertices.sparkSession)
+
+    def stage(tau: float, *rest):
+        sub = sg.subgraph_ge(tau)
+        g = sub.to_ref(budget)
+        if g is not None:
+            return ref_stage(g)(tau, *rest)
+        return distributed_stage(sub, tau, *rest)
+
+    return stage
+
+
 def local_search_spark(
     sg: SparkGraph,
     k: int,
@@ -72,22 +103,14 @@ def local_search_spark(
     delta: float = 2.0,
 ) -> LocalSearchResult:
     """Top-k influential γ-communities, highest influence first."""
-    next_size = growth(delta)
-    if gamma < 1:
-        raise ValueError("gamma must be >= 1")
-    budget = driver_rows_budget(sg.vertices.sparkSession)
 
-    def stage(tau: float):
-        sub = sg.subgraph_ge(tau)
-        g = sub.to_ref(budget)
-        if g is not None:
-            peel = count_ic(g, gamma)
-            return Stage(tau, g.size, peel.count, DRIVER), lambda k: enum_ic(g, peel, k)
+    def survival(sub: SparkGraph, tau: float):
         surv = survival_threshold(sub.vertices, sub.edges, gamma)
         return (
-            Stage(tau, sg.size_at_tau(tau), count_keynodes(surv.labels),
+            Stage(tau, sub.size_at_tau(tau), count_keynodes(surv.labels),
                   SURVIVAL, surv.iterations),
             lambda k: enumerate_driver(surv.labels, sub.edges, k),
         )
 
-    return grow_top_k(sg, k, k + gamma, next_size, stage)
+    stage = spark_stage(sg, lambda g: peel_stage(g, gamma), survival)
+    return grow_top_k(sg, k, k + gamma, growth(delta), stage)

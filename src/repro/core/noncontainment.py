@@ -11,11 +11,13 @@ subgraph be ``u_1 < u_2 < …`` by weight, with ``next(u_i) = ω(u_{i+1})``
 
 The counting loop is the shared Algorithm-1 driver
 (``repro.ref.local_search.grow_top_k``), started from the sequential
-version's §5.1 bound τ₁ = the k(γ+1)-th weight, with this NC test as its
-stage count. The test runs on the collected (small) accessed subgraph:
-bands are a ``numpy.searchsorted`` over the keynode weights, the edge test
-a vectorized comparison. The distributed part is the survival fixed point
-on ``G≥τ``.
+version's §5.1 bound τ₁ = the k(γ+1)-th weight, and each stage takes one of
+two routes by ``repro.core.local_search.spark_stage``: a ``G≥τ`` that fits
+the driver budget is collected and ``ref``'s own ``nc_stage`` runs on it
+(CountIC's ``nc_flags``); a larger one runs the survival fixed point and
+this T-band test on its live rows, collected by ``collect_live``: bands
+are a ``numpy.searchsorted`` over the keynode weights, the edge test one
+pass over the collected edges.
 """
 from __future__ import annotations
 
@@ -23,14 +25,14 @@ from typing import List, Tuple
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import functions as F
 
 from repro.graphs.storage import SparkGraph
 from repro.kernels.survival import survival_threshold
 from repro.ref.local_search import LocalSearchResult, Stage, grow_top_k, growth
+from repro.ref.noncontainment import nc_stage
 
-from .enum_ic import Community
-from .local_search import SURVIVAL
+from .enum_ic import Community, collect_live
+from .local_search import SURVIVAL, spark_stage
 
 
 def _nc_analysis(
@@ -61,16 +63,11 @@ def top_k_noncontainment_spark(
 ) -> LocalSearchResult:
     """Top-k non-containment communities, highest influence first."""
 
-    def stage(tau: float):
-        sub = sg.subgraph_ge(tau)
+    def survival(sub: SparkGraph, tau: float):
         surv = survival_threshold(sub.vertices, sub.edges, gamma)
-        lpdf = surv.labels.filter(F.col("T") > float("-inf")).toPandas()
-        epdf = sub.edges.select("src", "dst").toPandas()
-        epdf = epdf[
-            epdf["src"].isin(set(lpdf["id"])) & epdf["dst"].isin(set(lpdf["id"]))
-        ]
-        keys, nc, banded = _nc_analysis(lpdf, epdf)
-        st = Stage(tau, sg.size_at_tau(tau), int(nc.sum()), SURVIVAL, surv.iterations)
+        # Every finite T in G≥τ is ≥ τ, so the live rows are those with T ≥ τ.
+        keys, nc, banded = _nc_analysis(*collect_live(surv.labels, sub.edges, tau))
+        st = Stage(tau, sub.size_at_tau(tau), int(nc.sum()), SURVIVAL, surv.iterations)
 
         def enumerate_top(k: int) -> List[Community]:
             out: List[Community] = []
@@ -82,5 +79,6 @@ def top_k_noncontainment_spark(
 
         return st, enumerate_top
 
+    stage = spark_stage(sg, lambda g: nc_stage(g, gamma), survival)
     # k disjoint NC communities span ≥ k·(γ+1) vertices — the §5.1 τ₁ bound.
     return grow_top_k(sg, k, k * (gamma + 1), growth(delta), stage)

@@ -9,13 +9,13 @@ decreasing influence order; the consumer can stop the generator at any time
 (``k`` is never needed).
 
 The stage loop is ``repro.ref.progressive.progressive``, the shared growth
-driver that the sequential version runs too. Each stage takes one of
-LocalSearch's two routes (``repro.core.local_search``):
+driver that the sequential version runs too, and each stage takes one of
+two routes by ``repro.core.local_search.spark_stage``:
 
-* **driver** — ``G≥τ_i`` fits :func:`driver_rows_budget`, so it is
-  collected and peeled with ConstructCVS (``count_ic`` stopping at
-  τ_{i-1}), and the new bands are activated in EnumIC-P's disjoint set
-  (``repro.ref.progressive``), shared across stages exactly as in the
+* **driver** — ``G≥τ_i`` fits the driver budget, so it is collected and
+  ``ref``'s own ``progressive_stage`` runs on it: ConstructCVS
+  (``count_ic`` stopping at τ_{i-1}), and the new bands activated in
+  EnumIC-P's disjoint set, shared across stages exactly as in the
   sequential version: each community is read off the set, not re-searched.
   Per-stage Spark work is one collect; a stage's supersteps would cost a
   few dozen jobs, which dominate the latency on subgraphs of a few hundred
@@ -34,12 +34,11 @@ from pyspark.sql import functions as F
 
 from repro.graphs.storage import SparkGraph
 from repro.kernels.survival import survival_threshold
-from repro.ref.count_ic import count_ic
-from repro.ref.local_search import DRIVER, Stage, growth
-from repro.ref.progressive import _CommunityDSU, progressive
+from repro.ref.local_search import Stage, growth
+from repro.ref.progressive import _CommunityDSU, progressive, progressive_stage
 
 from .enum_ic import Community, _components_pandas, collect_live
-from .local_search import SURVIVAL, driver_rows_budget
+from .local_search import SURVIVAL, spark_stage
 
 
 def local_search_progressive_spark(
@@ -47,17 +46,9 @@ def local_search_progressive_spark(
 ) -> Iterator[Community]:
     """Yield (influence, community) in decreasing influence order."""
     next_size = growth(delta)
-    if gamma < 1:
-        raise ValueError("gamma must be >= 1")
-    budget = driver_rows_budget(sg.vertices.sparkSession)
     dsu = _CommunityDSU()
 
-    def stage(tau: float, tau_prev: float):
-        sub = sg.subgraph_ge(tau)
-        g = sub.to_ref(budget)
-        if g is not None:
-            peel = count_ic(g, gamma, tau_stop=tau_prev)
-            return Stage(tau, g.size, peel.count, DRIVER), dsu.stream(g, peel)
+    def survival(sub: SparkGraph, tau: float, tau_prev: float):
         surv = survival_threshold(sub.vertices, sub.edges, gamma)
         new_keys = (
             surv.labels.filter(
@@ -66,7 +57,7 @@ def local_search_progressive_spark(
             .orderBy(F.col("weight").desc())
             .collect()
         )
-        st = Stage(tau, sg.size_at_tau(tau), len(new_keys), SURVIVAL, surv.iterations)
+        st = Stage(tau, sub.size_at_tau(tau), len(new_keys), SURVIVAL, surv.iterations)
         if not new_keys:
             return st, []
         # Collect once per stage; every new community lives inside
@@ -75,4 +66,5 @@ def local_search_progressive_spark(
         lpdf, epdf = collect_live(surv.labels, sub.edges, keys[-1][1])
         return st, _components_pandas(lpdf, epdf, keys)
 
+    stage = spark_stage(sg, lambda g: progressive_stage(g, gamma, dsu), survival)
     yield from progressive(sg, 1 + gamma, next_size, stage)

@@ -7,9 +7,8 @@ common on symmetric synthetic graphs, so scores are mapped to their rank:
 bijection into distinct floats, which leaves every top-k semantics intact
 (DESIGN.md §4).
 
-This module is the NumPy implementation used when *building* datasets; the
-distributed PageRank kernel (`repro.kernels.pagerank`) is validated against
-:func:`pagerank_numpy` and available for in-Spark weight assignment.
+Weights are assigned once, when a dataset is built, by the NumPy power
+iteration :func:`pagerank_numpy`; every engine reads them from there.
 """
 from __future__ import annotations
 

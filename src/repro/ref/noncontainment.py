@@ -30,10 +30,9 @@ def nc_top_k(g: RefGraph, peel: PeelResult, k: int) -> List[Community]:
     return nc[::-1][:k]
 
 
-def top_k_noncontainment(
-    g: RefGraph, k: int, gamma: int, delta: float = 2.0
-) -> LocalSearchResult:
-    """Top-k non-containment communities, highest influence first."""
+def nc_stage(g: RefGraph, gamma: int):
+    """The non-containment stage: CountIC on the top-r prefix, counting the
+    flagged keynodes, then their groups."""
 
     def stage(tau: float):
         r = g.r_for_tau(tau)
@@ -43,8 +42,15 @@ def top_k_noncontainment(
             lambda k: nc_top_k(g, peel, k),
         )
 
+    return stage
+
+
+def top_k_noncontainment(
+    g: RefGraph, k: int, gamma: int, delta: float = 2.0
+) -> LocalSearchResult:
+    """Top-k non-containment communities, highest influence first."""
     # k disjoint NC communities span ≥ k·(γ+1) vertices — the §5.1 τ₁ bound.
-    return grow_top_k(g, k, k * (gamma + 1), growth(delta), stage)
+    return grow_top_k(g, k, k * (gamma + 1), growth(delta), nc_stage(g, gamma))
 
 
 def forward_nc(g: RefGraph, k: int, gamma: int) -> List[Community]:

@@ -20,7 +20,8 @@ small-to-large, so construction over a whole run costs O(m + n log n).
 
 The stage loop is the shared growth driver (``ref.local_search.grow``),
 started at rank ``1 + γ`` and never stopped by a count: :func:`progressive`
-runs it for this module and for the Spark version (``repro.core.progressive``).
+runs it, with :func:`progressive_stage`, for this module and for the Spark
+version (``repro.core.progressive``), whose driver route is that same stage.
 """
 from __future__ import annotations
 
@@ -85,16 +86,21 @@ def progressive(g, rank: int, next_size, stage) -> Iterator[Community]:
         tau_prev = st.tau
 
 
-def local_search_progressive(
-    g: RefGraph, gamma: int, delta: float = 2.0
-) -> Iterator[Community]:
-    """Algorithm 4: yield ``(influence, frozenset)``, highest influence first."""
-    next_size = growth(delta)
-    dsu = _CommunityDSU()
+def progressive_stage(g: RefGraph, gamma: int, dsu: _CommunityDSU):
+    """LocalSearch-P's stage: ConstructCVS on the top-r prefix down to
+    τ_{i-1}, then the new bands' communities from the shared ``dsu``."""
 
     def stage(tau: float, tau_prev: float):
         r = g.r_for_tau(tau)
         peel = count_ic(g, gamma, tau_stop=tau_prev, prefix=r)
         return Stage(tau, g.prefix_size(r), peel.count), dsu.stream(g, peel)
 
-    yield from progressive(g, 1 + gamma, next_size, stage)
+    return stage
+
+
+def local_search_progressive(
+    g: RefGraph, gamma: int, delta: float = 2.0
+) -> Iterator[Community]:
+    """Algorithm 4: yield ``(influence, frozenset)``, highest influence first."""
+    stage = progressive_stage(g, gamma, _CommunityDSU())
+    yield from progressive(g, 1 + gamma, growth(delta), stage)

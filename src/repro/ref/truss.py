@@ -167,17 +167,22 @@ def enum_icc(g: RefGraph, peel: TrussPeelResult, k: int) -> List[Community]:
     return out
 
 
-def local_search_truss(
-    g: RefGraph, k: int, gamma: int, delta: float = 2.0
-) -> LocalSearchResult:
-    """LocalSearch-Truss (Algorithm 6 with the truss Count/Enum procedures)."""
+def truss_stage(g: RefGraph, gamma: int):
+    """LocalSearch-Truss's stage: CountICC on the top-r prefix, then EnumICC."""
 
     def stage(tau: float):
         r = g.r_for_tau(tau)
         peel = count_icc(g, gamma, prefix=r)
         return Stage(tau, g.prefix_size(r), peel.count), lambda k: enum_icc(g, peel, k)
 
-    return grow_top_k(g, k, k + gamma, growth(delta), stage)
+    return stage
+
+
+def local_search_truss(
+    g: RefGraph, k: int, gamma: int, delta: float = 2.0
+) -> LocalSearchResult:
+    """LocalSearch-Truss (Algorithm 6 with the truss Count/Enum procedures)."""
+    return grow_top_k(g, k, k + gamma, growth(delta), truss_stage(g, gamma))
 
 
 def global_search_truss(g: RefGraph, k: int, gamma: int) -> List[Community]:

@@ -1,27 +1,37 @@
 """Distributed LocalSearch / LocalSearch-P / NC / truss vs the references.
 
-Each heavy pipeline runs once per module (module-scoped fixtures); the
+Each heavy pipeline runs once per class (class-scoped fixtures); the
 asserts fan out over the shared results to keep Spark wall-time bounded.
+Every variant's checks run on the driver route and, with the driver budget
+at 0, on its distributed route.
 """
+from contextlib import contextmanager
+
 import pandas as pd
 import pytest
 
 import repro.core.enum_ic as core_enum
 import repro.core.local_search as core_ls
+import repro.core.noncontainment as core_nc
 import repro.core.progressive as core_p
 from repro.baselines.global_search import forward_spark, online_all_spark
-from repro.core.enum_ic import enumerate_distributed, enumerate_driver
-from repro.core.local_search import DRIVER, SURVIVAL, local_search_spark
+from repro.core.local_search import SURVIVAL, local_search_spark
 from repro.core.noncontainment import top_k_noncontainment_spark
 from repro.core.progressive import local_search_progressive_spark
-from repro.core.truss_search import global_search_truss_spark, local_search_truss_spark
+from repro.core.truss_search import (
+    KTRUSS,
+    global_search_truss_spark,
+    local_search_truss_spark,
+)
 from repro.graphs.storage import SparkGraph
-from repro.kernels.survival import survival_threshold
 from repro.ref.enum_ic import all_communities_brute
 from repro.ref.graph import RefGraph
-from repro.ref.local_search import local_search, tau_star_size
+from repro.ref.local_search import DRIVER, local_search, tau_star_size
 from repro.ref.noncontainment import noncontainment_brute, top_k_noncontainment
+from repro.ref.progressive import local_search_progressive
 from repro.ref.truss import global_search_truss, local_search_truss
+from repro.semi_external.algorithms import local_search_se
+from repro.semi_external.storage import EdgeBlockStore
 
 from .paper_graphs import fig3_graph
 from .spark_helpers import random_ref_graph, ref_to_spark
@@ -46,16 +56,22 @@ def grand(spark):
     return ref, ref_to_spark(spark, ref)
 
 
+@contextmanager
+def on_route(route):
+    """Within the block, Spark stages take ``route``: the driver route, which
+    every stage here fits, or, with the driver budget at 0, each variant's
+    distributed stage."""
+    with pytest.MonkeyPatch.context() as mp:
+        if route != DRIVER:
+            mp.setattr(core_ls, "driver_rows_budget", lambda spark: 0)
+        yield
+
+
 @pytest.fixture(scope="class", autouse=True)
 def route(request):
-    """The stage route of the class's ``ROUTE`` (default: the driver route,
-    which every stage here fits). ``SURVIVAL`` sets the driver budget to 0,
-    so every stage runs the survival fixed point."""
+    """The stage route of the class's ``ROUTE`` (default: ``DRIVER``)."""
     route = getattr(request.cls, "ROUTE", DRIVER)
-    with pytest.MonkeyPatch.context() as mp:
-        if route == SURVIVAL:
-            for mod in (core_ls, core_p):
-                mp.setattr(mod, "driver_rows_budget", lambda spark: 0)
+    with on_route(route):
         yield route
 
 
@@ -103,15 +119,11 @@ class LocalSearchChecks:
             assert res.accessed_size <= 2 * delta * tau_star_size(ref, k, 3) + 1
 
 
-def record_collects(monkeypatch, module):
-    """Record every ``(labels, edges, keys)`` the driver-side BFS receives."""
+def record_calls(monkeypatch, module, name):
+    """Record the arguments of every call to ``module.name``."""
     got = []
-    components = module._components_pandas
-    monkeypatch.setattr(
-        module, "_components_pandas",
-        lambda labels, edges, keys: got.append((labels, edges, keys))
-        or components(labels, edges, keys),
-    )
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: got.append(args) or fn(*args))
     return got
 
 
@@ -130,7 +142,7 @@ class TestLocalSearchSparkSurvival(LocalSearchChecks):
 
     def test_enum_collects_only_live_rows(self, g3, monkeypatch):
         ref, sg = g3
-        got = record_collects(monkeypatch, core_enum)
+        got = record_calls(monkeypatch, core_enum, "_components_pandas")
         assert local_search_spark(sg, k=4, gamma=3).communities == TOP4
         [(labels, edges, keys)] = got
         assert keys[-1][1] == 12.0  # τ_k
@@ -138,14 +150,6 @@ class TestLocalSearchSparkSurvival(LocalSearchChecks):
 
 
 class TestLocalSearchSpark(LocalSearchChecks):
-    def test_enum_modes_agree(self, g3):
-        ref, sg = g3
-        sub = sg.subgraph_ge(12.0)
-        surv = survival_threshold(sub.vertices, sub.edges, 3)
-        a = enumerate_driver(surv.labels, sub.edges, 4)
-        b = enumerate_distributed(surv.labels, sub.edges, 4)
-        assert a == b == TOP4
-
     def test_edge_cases_return_ref_answer(self, g3, spark):
         ref, sg = g3
         empty = SparkGraph.from_pandas(spark, *empty_frames())
@@ -205,7 +209,7 @@ class TestProgressiveSparkSurvival(ProgressiveChecks):
 
     def test_stream_collects_only_live_rows(self, g3, monkeypatch):
         ref, sg = g3
-        got = record_collects(monkeypatch, core_p)
+        got = record_calls(monkeypatch, core_p, "_components_pandas")
         assert next(local_search_progressive_spark(sg, gamma=3)) == TOP4[0]
         [(labels, edges, keys)] = got
         assert keys[-1][1] == 18.0  # the lowest new keynode of stage 1
@@ -275,12 +279,16 @@ class TestGlobalBaselinesSpark:
 
 
 @pytest.fixture(scope="class")
-def nc_runs(g3, grand):
+def nc_runs(g3, grand, route):
     """Spark non-containment top-2 at γ = 3 on fig3 and the random graph."""
     return [(ref, top_k_noncontainment_spark(sg, k=2, gamma=3)) for ref, sg in (g3, grand)]
 
 
-class TestNonContainmentSpark:
+class NonContainmentChecks:
+    """Non-containment checks that must hold on either stage route."""
+
+    ROUTE = DRIVER
+
     def test_fig3_top2(self, nc_runs):
         assert nc_runs[0][1].communities == [
             (18.0, frozenset({3, 11, 12, 20})),
@@ -295,19 +303,114 @@ class TestNonContainmentSpark:
         for ref, res in nc_runs:
             assert trace(res.stages) == trace(top_k_noncontainment(ref, 2, 3).stages)
 
+    def test_every_stage_takes_the_route(self, nc_runs):
+        for _, res in nc_runs:
+            assert [s.route for s in res.stages] == [self.ROUTE] * len(res.stages)
 
-class TestTrussSpark:
-    def test_fig3_local_equals_global_and_ref(self, g3):
+
+class TestNonContainmentSpark(NonContainmentChecks):
+    pass
+
+
+class TestNonContainmentSparkSurvival(NonContainmentChecks):
+    ROUTE = SURVIVAL
+
+    def test_collects_only_live_rows(self, g3, monkeypatch):
         ref, sg = g3
-        want = global_search_truss(ref, 2, 4)
-        res = local_search_truss_spark(sg, 2, 4)
-        assert res.communities == want
-        assert trace(res.stages) == trace(local_search_truss(ref, 2, 4).stages)
-        assert global_search_truss_spark(sg, 2, 4) == want
+        got = record_calls(monkeypatch, core_nc, "_nc_analysis")
+        res = top_k_noncontainment_spark(sg, k=2, gamma=3)
+        assert [s.tau for s in res.stages] == [17.0, 11.0]
+        for (labels, edges), st in zip(got, res.stages, strict=True):
+            assert "weight" in labels  # for the keynode test T == weight
+            assert_only_live_rows(ref, labels, edges, st.tau)
 
-    def test_random_stage_trace_matches_ref(self, grand):
-        ref, sg = grand
+
+@pytest.fixture(scope="class")
+def truss_runs(g3, grand, route):
+    """Spark LocalSearch-Truss: top-2 at γ = 4 on fig3, top-3 at γ = 3 on the
+    random graph."""
+    return [
+        local_search_truss_spark(sg, k, gamma)
+        for (_, sg), k, gamma in ((g3, 2, 4), (grand, 3, 3))
+    ]
+
+
+class TrussChecks:
+    """LocalSearch-Truss checks that must hold on either stage route."""
+
+    ROUTE = DRIVER
+
+    def test_fig3_local_equals_global_and_ref(self, g3, truss_runs):
+        ref, _ = g3
+        res = truss_runs[0]
+        assert res.communities == global_search_truss(ref, 2, 4)
+        assert trace(res.stages) == trace(local_search_truss(ref, 2, 4).stages)
+
+    def test_random_stage_trace_matches_ref(self, grand, truss_runs):
+        ref, _ = grand
         want = local_search_truss(ref, 3, 3)
-        res = local_search_truss_spark(sg, 3, 3)
+        res = truss_runs[1]
         assert res.communities == want.communities
         assert trace(res.stages) == trace(want.stages)
+
+    def test_every_stage_takes_the_route(self, truss_runs):
+        for res in truss_runs:
+            assert [s.route for s in res.stages] == [self.ROUTE] * len(res.stages)
+
+
+class TestTrussSpark(TrussChecks):
+    def test_global_search_spark_equals_ref(self, g3):
+        ref, sg = g3
+        assert global_search_truss_spark(sg, 2, 4) == global_search_truss(ref, 2, 4)
+
+
+class TestTrussSparkKtruss(TrussChecks):
+    ROUTE = KTRUSS
+
+
+def raised(search, *args) -> str:
+    """The message of the ``ValueError`` that ``search(*args)`` raises."""
+    with pytest.raises(ValueError) as err:
+        search(*args)
+    return str(err.value)
+
+
+class TestInputChecks:
+    """γ is checked by each route's count step, with ``ref``'s message; k ≤ 0
+    asks for nothing, whatever γ, on every engine."""
+
+    @pytest.fixture
+    def engines(self, g3, tmp_path):
+        ref, sg = g3
+        return ref, sg, EdgeBlockStore.write(str(tmp_path / "fig3"), ref, block_edges=8)
+
+    def test_bad_gamma_raises_alike(self, engines):
+        ref, sg, store = engines
+        core = raised(local_search, ref, 2, 0)
+        truss = raised(local_search_truss, ref, 2, 1)
+        assert core == "gamma must be >= 1" and truss == "truss gamma must be >= 2"
+        assert raised(lambda: next(local_search_progressive(ref, 0))) == core
+        assert raised(top_k_noncontainment, ref, 2, 0) == core
+        assert raised(local_search_se, store, 2, 0) == core
+        for route in (DRIVER, SURVIVAL):
+            with on_route(route):
+                assert raised(local_search_spark, sg, 2, 0) == core
+                assert raised(lambda: next(local_search_progressive_spark(sg, 0))) == core
+                assert raised(top_k_noncontainment_spark, sg, 2, 0) == core
+                assert raised(local_search_truss_spark, sg, 2, 1) == truss
+
+    def test_nonpositive_k_returns_nothing(self, engines):
+        ref, sg, store = engines
+        for k in (0, -2):
+            for gamma in (0, 1, 3):
+                answers = [
+                    local_search(ref, k, gamma).communities,
+                    top_k_noncontainment(ref, k, gamma).communities,
+                    local_search_truss(ref, k, gamma).communities,
+                    local_search_spark(sg, k, gamma).communities,
+                    top_k_noncontainment_spark(sg, k, gamma).communities,
+                    local_search_truss_spark(sg, k, gamma).communities,
+                    local_search_se(store, k, gamma)[0],
+                ]
+                assert answers == [[]] * len(answers)
+        assert store.stats.blocks_read == 0

@@ -1,21 +1,15 @@
 """Iterative Pregel-style kernels vs the exact sequential references."""
-import numpy as np
 import pytest
-from pyspark.sql import functions as F
 
-from repro.graphs.weights import pagerank_numpy
-from repro.kernels.connected_components import connected_components
 from repro.kernels.coreness import coreness, gamma_max
-from repro.kernels.gamma_core import gamma_core
 from repro.kernels.ktruss import gamma_truss, gamma_truss_subgraph
-from repro.kernels.pagerank import pagerank, pagerank_rank_weights
 from repro.kernels.survival import count_keynodes, keynodes, survival_threshold
 from repro.ref.count_ic import count_ic, gamma_core_set, survival_threshold_brute
 from repro.ref.graph import NEG_INF
 from repro.ref.truss import truss_edges_brute
 
 from .paper_graphs import fig3_graph
-from .spark_helpers import random_ref_graph, ref_to_pandas, ref_to_spark
+from .spark_helpers import random_ref_graph, ref_to_spark
 
 
 @pytest.fixture(scope="module")
@@ -28,52 +22,6 @@ def g3(spark):
 def grand(spark):
     ref = random_ref_graph(80, 260, seed=11)
     return ref, ref_to_spark(spark, ref)
-
-
-class TestGammaCore:
-    @pytest.mark.parametrize("gamma", [1, 2, 3, 4])
-    def test_matches_brute(self, grand, gamma):
-        ref, sg = grand
-        v, e = gamma_core(sg.vertices, sg.edges, gamma)
-        got = {r["id"] for r in v.select("id").collect()}
-        want = gamma_core_set(ref.weight, ref.edge_list(), gamma)
-        assert got == want
-
-    def test_fig3_core_of_g_ge_12(self, g3):
-        # Example 3.2: the γ-core of G≥12 loses exactly {v9, v17, v18}.
-        ref, sg = g3
-        sub = sg.subgraph_ge(12.0)
-        v, e = gamma_core(sub.vertices, sub.edges, 3)
-        got = {r["id"] for r in v.select("id").collect()}
-        assert got == {3, 20, 12, 11, 16, 1, 6, 7, 13, 5}
-
-    def test_empty_core(self, g3):
-        ref, sg = g3
-        v, e = gamma_core(sg.vertices, sg.edges, 10)
-        assert v.count() == 0 and e.count() == 0
-
-
-class TestConnectedComponents:
-    def test_matches_ref_components(self, grand):
-        ref, sg = grand
-        lbl = connected_components(sg.vertices, sg.edges).toPandas()
-        comp = dict(zip(lbl["id"], lbl["component"]))
-        # same component iff same label — check against BFS on the ref graph
-        seen = {}
-        for v in ref.weight:
-            if v in seen:
-                continue
-            stack, members = [v], {v}
-            while stack:
-                x = stack.pop()
-                for y in ref.adj[x]:
-                    if y not in members:
-                        members.add(y)
-                        stack.append(y)
-            root = min(members)
-            for u in members:
-                seen[u] = root
-        assert comp == seen
 
 
 class TestSurvivalThreshold:
@@ -145,19 +93,3 @@ class TestGammaTruss:
         assert edges == want_edges
         assert ids == {x for ab in want_edges for x in ab}
 
-
-class TestPagerank:
-    def test_matches_numpy(self, grand):
-        ref, sg = grand
-        vpdf, epdf = ref_to_pandas(ref)
-        want = pagerank_numpy(epdf, len(vpdf), iters=20)
-        id_to_pos = {int(v): i for i, v in enumerate(vpdf["id"])}
-        got = pagerank(sg.vertices, sg.edges, iters=20).collect()
-        for r in got:
-            assert r["score"] == pytest.approx(want[id_to_pos[r["id"]]], rel=1e-6)
-
-    def test_rank_weights_distinct_and_order_preserving(self, grand):
-        ref, sg = grand
-        w = pagerank_rank_weights(sg.vertices, sg.edges, iters=10).toPandas()
-        assert w["weight"].nunique() == len(w)
-        assert sorted(w["weight"]) == list(range(1, len(w) + 1))
