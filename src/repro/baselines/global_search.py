@@ -19,20 +19,18 @@ from __future__ import annotations
 
 from typing import List
 
-from pyspark.sql import functions as F
-
 from repro.graphs.storage import SparkGraph
 from repro.kernels.survival import survival_threshold
 
-from repro.core.enum_ic import Community, _components_pandas
+from repro.core.enum_ic import Community, _components_pandas, collect_live
 
 
 def _full_labelling(sg: SparkGraph, gamma: int):
+    """The full-graph labelling: the vertices with finite ``T``, the edges
+    between them (every finite ``T`` is ≥ τ_min, so ``collect_live`` at
+    τ_min collects exactly these) and the keynodes, heaviest first."""
     surv = survival_threshold(sg.vertices, sg.edges, gamma)
-    lpdf = surv.labels.filter(F.col("T") > float("-inf")).toPandas()
-    keep = set(lpdf["id"].astype(int))
-    epdf = sg.edges.select("src", "dst").toPandas()
-    epdf = epdf[epdf["src"].isin(keep) & epdf["dst"].isin(keep)]
+    lpdf, epdf = collect_live(surv.labels, sg.edges, sg.tau_min())
     keyed = lpdf[lpdf["T"] == lpdf["weight"]].sort_values("weight", ascending=False)
     keys = list(zip(keyed["id"].astype(int), keyed["weight"].astype(float)))
     return lpdf, epdf, keys

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from typing import List
 
+import numpy as np
+
 from repro.graphs.storage import SparkGraph
 from repro.kernels.ktruss import gamma_truss_subgraph
 from repro.ref.graph import RefGraph
@@ -41,7 +43,7 @@ def _truss_peel(sub: SparkGraph, gamma: int):
     ep = te.toPandas()
     ref = RefGraph(
         dict(zip(vp["id"].astype(int), vp["weight"].astype(float))),
-        list(zip(ep["a"].astype(int), ep["b"].astype(int))),
+        ep[["a", "b"]].to_numpy(np.int64),
     )
     return ref, count_icc(ref, gamma)
 

@@ -27,7 +27,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.ref.graph import PrefixIndex, PrefixLookups, RefGraph
+from repro.ref.graph import PrefixIndex, PrefixLookups, RefGraph, check_graph
 
 NEG_INF = float("-inf")
 VERTEX_SCHEMA = "id long, weight double"
@@ -37,28 +37,17 @@ EDGE_SCHEMA = "src long, dst long"
 def canonical_frames(
     vertices: pd.DataFrame, edges: pd.DataFrame
 ) -> Tuple[pd.DataFrame, pd.DataFrame]:
-    """``RefGraph``'s graph contract, applied to pandas frames.
+    """``RefGraph``'s graph contract (``repro.ref.graph.check_graph``),
+    applied to pandas frames.
 
     Edges are oriented ``src < dst`` and duplicates (in either orientation)
-    dropped. Tied weights, self-loops and edges to unknown vertices raise
-    ``ValueError`` with ``RefGraph``'s messages; so do repeated vertex ids,
-    which a ``RefGraph``'s weight dict cannot hold.
+    dropped. Repeated vertex ids, tied weights, self-loops and edges to
+    unknown vertices raise ``ValueError`` with ``RefGraph``'s messages.
     """
     v = vertices[["id", "weight"]].astype({"id": "int64", "weight": "float64"})
-    if v["id"].duplicated().any():
-        raise ValueError(f"duplicate vertex id {v['id'][v['id'].duplicated()].iloc[0]}")
-    if v["weight"].duplicated().any():
-        raise ValueError("vertex weights must be pairwise distinct (paper §2)")
     src = edges["src"].to_numpy(dtype=np.int64)
     dst = edges["dst"].to_numpy(dtype=np.int64)
-    loops = np.flatnonzero(src == dst)
-    if len(loops):
-        raise ValueError(f"self-loop on {src[loops[0]]}")
-    ids = v["id"].to_numpy()
-    unknown = np.flatnonzero(~(np.isin(src, ids) & np.isin(dst, ids)))
-    if len(unknown):
-        i = unknown[0]
-        raise ValueError(f"edge ({src[i]},{dst[i]}) references unknown vertex")
+    check_graph(v["id"], v["weight"], src, dst, reject_duplicates=False)
     e = pd.DataFrame(
         {"src": np.minimum(src, dst), "dst": np.maximum(src, dst)}
     ).drop_duplicates(ignore_index=True)
@@ -144,7 +133,7 @@ class SparkGraph(PrefixLookups):
                     "id": idx.ids,
                     "weight": idx.weights,
                     "rank": np.arange(1, idx.n + 1),
-                    "up_degree": np.diff(idx.cum_size, prepend=0) - 1,
+                    "up_degree": idx.up_degree,
                     "cum_size": idx.cum_size,
                 }),
                 schema="id long, weight double, rank long, up_degree long, cum_size long",
@@ -163,7 +152,4 @@ class SparkGraph(PrefixLookups):
         if self.prefix_size(idx.n) > max_rows:
             return None
         e = self.edges.select("src", "dst").toPandas()
-        return RefGraph(
-            dict(zip(idx.ids.tolist(), idx.weights.tolist())),
-            zip(e["src"].tolist(), e["dst"].tolist()),
-        )
+        return RefGraph(dict(zip(idx.ids.tolist(), idx.weights.tolist())), e.to_numpy(np.int64))

@@ -12,7 +12,7 @@ iteration :func:`pagerank_numpy`; every engine reads them from there.
 """
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 import pandas as pd
@@ -69,10 +69,9 @@ def weighted_vertex_frame(edges: pd.DataFrame, n: int) -> pd.DataFrame:
 
 def as_ref_graph(edges: pd.DataFrame, vertices: pd.DataFrame) -> RefGraph:
     """Sequential-substrate view of a generated dataset."""
-    weights: Dict[int, float] = dict(
-        zip(vertices["id"].astype(int), vertices["weight"].astype(float))
-    )
-    return RefGraph(weights, list(zip(edges["src"].astype(int), edges["dst"].astype(int))))
+    ids = vertices["id"].to_numpy(np.int64).tolist()
+    weights = dict(zip(ids, vertices["weight"].to_numpy(np.float64).tolist()))
+    return RefGraph(weights, edges[["src", "dst"]].to_numpy(np.int64))
 
 
 def build_dataset_pandas(name: str, scale: float = 1.0) -> Tuple[pd.DataFrame, pd.DataFrame]:

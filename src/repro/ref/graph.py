@@ -8,12 +8,25 @@ The paper (§3.1, starred remarks) assumes:
 
 so that any weight-suffix subgraph ``G≥τ`` — and, more generally, the
 subgraph induced by the top-``r`` vertices — can be extracted in time linear
-in its own size. :class:`PrefixIndex` is the first, with the running
-``size(G≥τ)`` of every weight suffix that Algorithm 1 looks up; every
-engine's graph type (``RefGraph``, ``SparkGraph``, ``EdgeBlockStore``)
-answers its lookups from one. :class:`RefGraph` implements the whole
-organization and is the substrate for the exact sequential algorithms in
-``repro.ref``.
+in its own size. The Remark adds that edges are stored by decreasing
+``w_min`` (the lower endpoint weight), so the edges of ``G≥τ`` are a prefix.
+
+:class:`PrefixIndex` is that organization as arrays, built in one numpy pass
+(:meth:`PrefixIndex.build`) from a graph that holds the contract
+(:func:`check_graph`):
+
+* the vertices in decreasing weight order, with the running ``size(G≥τ)``
+  of every weight suffix that Algorithm 1 looks up — every engine's graph
+  type (``RefGraph``, ``SparkGraph``, ``EdgeBlockStore``) answers its
+  lookups from one;
+* the **edge layout**: the edges grouped by their lower-weight endpoint's
+  rank, each group ``N≥(u)`` in decreasing weight. The edges of the top-``r``
+  vertices' subgraph are its first ``prefix_size(r) − r`` rows.
+
+:class:`RefGraph` keeps the layout and reads its ``N≥`` lists, adjacency
+sets, ``subgraph_top`` and ``edge_list`` off it; ``EdgeBlockStore.write``
+(``repro.semi_external.storage``) writes its blocks straight from it. It is
+the substrate for the exact sequential algorithms in ``repro.ref``.
 
 Weights must be pairwise distinct (paper §2 assumption).
 """
@@ -24,6 +37,58 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 NEG_INF = float("-inf")
+
+
+def check_graph(
+    ids, weights, src, dst, reject_duplicates: bool = True
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The graph contract (paper §2) on arrays; returns the positions of
+    ``src`` and ``dst`` in ``ids``.
+
+    Repeated vertex ids, tied weights, self-loops and edges to unknown
+    vertices raise ``ValueError``, and so do duplicate edges (in either
+    orientation) unless ``reject_duplicates`` is off. An edge error names
+    the first offending edge in input order.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    by_id = np.argsort(ids, kind="stable")
+    sorted_ids = ids[by_id]
+    repeats = by_id[1:][sorted_ids[1:] == sorted_ids[:-1]]
+    if len(repeats):
+        raise ValueError(f"duplicate vertex id {ids[repeats.min()]}")
+    if len(np.unique(np.asarray(weights, dtype=np.float64))) != len(ids):
+        raise ValueError("vertex weights must be pairwise distinct (paper §2)")
+
+    def position(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        if not len(ids):
+            return np.zeros(len(v), dtype=np.int64), np.zeros(len(v), dtype=bool)
+        p = np.minimum(np.searchsorted(sorted_ids, v), len(ids) - 1)
+        return by_id[p], sorted_ids[p] == v
+
+    at_src, src_known = position(src)
+    at_dst, dst_known = position(dst)
+    loop = src == dst
+    unknown = ~(src_known & dst_known)
+    bad = loop | unknown
+    duplicate = np.zeros(len(src), dtype=bool)
+    if reject_duplicates and len(src):
+        # One key per unordered pair; a bad edge gets a key of its own.
+        key = np.minimum(at_src, at_dst) * len(ids) + np.maximum(at_src, at_dst)
+        key[bad] = -1 - np.flatnonzero(bad)
+        perm = np.argsort(key, kind="stable")
+        duplicate[perm[1:][key[perm[1:]] == key[perm[:-1]]]] = True
+    offending = np.flatnonzero(bad | duplicate)
+    if len(offending):
+        i = offending[0]
+        u, v = src[i], dst[i]
+        if loop[i]:
+            raise ValueError(f"self-loop on {u}")
+        if unknown[i]:
+            raise ValueError(f"edge ({u},{v}) references unknown vertex")
+        raise ValueError(f"duplicate edge ({u},{v})")
+    return at_src, at_dst
 
 
 class PrefixLookups:
@@ -67,46 +132,65 @@ class PrefixLookups:
 class PrefixIndex:
     """The §3.1 weight-ordered prefix index: vertices in decreasing weight
     order (★★), with the running ``size(G≥τ)`` (vertices + edges) of every
-    weight suffix.
+    weight suffix, and optionally the edge layout.
 
     ``ids[i]`` and ``weights[i]`` are the (i+1)-th highest-weight vertex and
     ``cum_size[i]`` is the size of the subgraph the top i+1 vertices induce,
-    i.e. ``size(G≥weights[i])``. A graph answers lookups on its index
-    through :class:`PrefixLookups`.
+    i.e. ``size(G≥weights[i])``. ``nbr`` is the edge layout: the rows of
+    vertex ``i`` are the ranks of its ``N≥`` neighbours, ascending (so in
+    decreasing weight), and rank-``i`` rows follow every lower rank's; the
+    first ``cum_size[i] − (i+1)`` rows are the edges of the top i+1
+    vertices. An index read back from storage has no layout (``None``). A
+    graph answers lookups on its index through :class:`PrefixLookups`.
     """
 
-    def __init__(self, ids, weights, cum_size):
+    def __init__(self, ids, weights, cum_size, nbr=None):
         self.ids = np.asarray(ids, dtype=np.int64)
         self.weights = np.asarray(weights, dtype=np.float64)
         self.cum_size = np.asarray(cum_size, dtype=np.int64)
+        self.nbr = None if nbr is None else np.asarray(nbr, dtype=np.int64)
         self.neg_weights = -self.weights  # ascending, for searchsorted
 
     @staticmethod
     def build(ids, weights, src, dst) -> "PrefixIndex":
-        """The index of the graph with vertex ``ids``/``weights`` and edges
-        ``src[i]``–``dst[i]`` (all endpoints known, no duplicates). Each edge
-        is charged to its lower-weight endpoint: the ``N≥`` half of §3.1 ★★."""
+        """The index and edge layout of the graph with vertex
+        ``ids``/``weights`` and edges ``src[i]``–``dst[i]``, after
+        :func:`check_graph` (duplicates rejected). Each edge is charged to
+        its lower-weight endpoint: the ``N≥`` half of §3.1 ★★."""
         ids = np.asarray(ids, dtype=np.int64)
         weights = np.asarray(weights, dtype=np.float64)
+        at_src, at_dst = check_graph(ids, weights, src, dst)
+        n = len(ids)
         order = np.argsort(-weights, kind="stable")
-        rank = np.empty(len(ids), dtype=np.int64)
-        rank[order] = np.arange(len(ids))
-        by_id = np.argsort(ids)
-
-        def rank_of(v) -> np.ndarray:
-            v = np.asarray(v, dtype=np.int64)
-            return rank[by_id[np.searchsorted(ids, v, sorter=by_id)]]
-
-        up_degree = np.bincount(np.maximum(rank_of(src), rank_of(dst)), minlength=len(ids))
-        return PrefixIndex(ids[order], weights[order], np.cumsum(1 + up_degree))
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n)
+        rs, rd = rank[at_src], rank[at_dst]
+        low = np.maximum(rs, rd)  # the lower-weight endpoint's rank
+        key = np.sort(low * n + np.minimum(rs, rd))
+        up_degree = np.bincount(low, minlength=n)
+        return PrefixIndex(ids[order], weights[order], np.cumsum(1 + up_degree), key % max(n, 1))
 
     @property
     def n(self) -> int:
         return len(self.ids)
 
+    @property
+    def up_degree(self) -> np.ndarray:
+        """``|N≥(v)|`` of every vertex, in rank order: the edges it adds."""
+        return np.diff(self.cum_size, prepend=0) - 1
+
+    def edge_ends(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The layout's edges as vertex ids: ``(lower, upper)``, the lower-
+        and higher-weight endpoint of every row."""
+        return np.repeat(self.ids, self.up_degree), self.ids[self.nbr]
+
     def head(self, r: int) -> "PrefixIndex":
         """The index of the subgraph induced by the top-``r`` vertices."""
-        return PrefixIndex(self.ids[:r], self.weights[:r], self.cum_size[:r])
+        r = min(r, self.n)
+        nbr = None
+        if self.nbr is not None:
+            nbr = self.nbr[: int(self.cum_size[r - 1]) - r if r > 0 else 0]
+        return PrefixIndex(self.ids[:r], self.weights[:r], self.cum_size[:r], nbr)
 
 
 class RefGraph(PrefixLookups):
@@ -117,41 +201,48 @@ class RefGraph(PrefixLookups):
     weights:
         Mapping vertex id -> weight. Weights must be distinct.
     edges:
-        Iterable of undirected edges ``(u, v)``; duplicates (in either
-        orientation) and self-loops are rejected.
+        Undirected edges ``(u, v)``: an ``(m, 2)`` integer array or an
+        iterable of pairs; duplicates (in either orientation) and self-loops
+        are rejected.
+
+    ``index`` holds the prefix index and the §3.1 edge layout; ``order``,
+    the ``N≥`` lists and ``adj`` are read off it.
     """
 
     def __init__(self, weights: Dict[int, float], edges: Iterable[Tuple[int, int]]):
-        if len(set(weights.values())) != len(weights):
-            raise ValueError("vertex weights must be pairwise distinct (paper §2)")
         self.weight: Dict[int, float] = dict(weights)
-        self.adj: Dict[int, Set[int]] = {v: set() for v in self.weight}
-        src: List[int] = []
-        dst: List[int] = []
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop on {u}")
-            if u not in self.adj or v not in self.adj:
-                raise ValueError(f"edge ({u},{v}) references unknown vertex")
-            if v in self.adj[u]:
-                raise ValueError(f"duplicate edge ({u},{v})")
-            self.adj[u].add(v)
-            self.adj[v].add(u)
-            src.append(u)
-            dst.append(v)
-        self.n_edges = len(src)
-        self.index = PrefixIndex.build(list(self.weight), list(self.weight.values()), src, dst)
+        n = len(self.weight)
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        self.n_edges = len(edges)
+        self.index = idx = PrefixIndex.build(
+            np.fromiter(self.weight, np.int64, n),
+            np.fromiter(self.weight.values(), np.float64, n),
+            edges[:, 0],
+            edges[:, 1],
+        )
+        # The vertex ids as one Python int each, which every list and set
+        # below shares.
+        id_obj = np.array(idx.ids.tolist(), dtype=object)
         # ★★ vertices pre-sorted in decreasing weight order.
-        self.order: List[int] = self.index.ids.tolist()
-        # ★★ adjacency pre-partitioned into N≥ / N< by neighbor weight.
+        self.order: List[int] = id_obj.tolist()
+        # ★★ adjacency pre-partitioned into N≥ / N< by neighbor weight:
+        # N≥(u) is u's group of the layout.
+        low = np.repeat(np.arange(n), idx.up_degree)
+        upper = id_obj[idx.nbr].tolist()
+        bounds = np.searchsorted(low, np.arange(n + 1)).tolist()
         self._n_ge: Dict[int, List[int]] = {
-            u: sorted(
-                (v for v in self.adj[u] if self.weight[v] >= self.weight[u]),
-                key=self.weight.get,
-                reverse=True,
-            )
-            for u in self.weight
+            u: upper[bounds[i] : bounds[i + 1]] for i, u in enumerate(self.order)
         }
+        # adj from both halves, grouped by rank: the layout rows and their reverses.
+        heads = np.concatenate((low, idx.nbr))
+        perm = np.argsort(heads, kind="stable")
+        tails = id_obj[np.concatenate((idx.nbr, low))[perm]].tolist()
+        bounds = np.searchsorted(heads[perm], np.arange(n + 1)).tolist()
+        by_rank = [set(tails[bounds[i] : bounds[i + 1]]) for i in range(n)]
+        rank = dict(zip(self.order, range(n)))
+        self.adj: Dict[int, Set[int]] = {v: by_rank[rank[v]] for v in self.weight}
 
     # ------------------------------------------------------------------ basic
     @property
@@ -172,13 +263,10 @@ class RefGraph(PrefixLookups):
 
     # -------------------------------------------------------------- subgraphs
     def subgraph_top(self, r: int) -> "RefGraph":
-        """Induced subgraph of the top-``r`` vertices, built in O(its size)."""
-        r = min(r, self.n)
-        keep = self.order[:r]
-        kept = set(keep)
-        w = {v: self.weight[v] for v in keep}
-        edges = [(u, v) for u in keep for v in self._n_ge[u] if v in kept]
-        return RefGraph(w, edges)
+        """Induced subgraph of the top-``r`` vertices: the layout's prefix."""
+        r = min(max(r, 0), self.n)
+        w = {v: self.weight[v] for v in self.order[:r]}
+        return RefGraph(w, np.column_stack(self.index.head(r).edge_ends()))
 
     def subgraph_ge(self, tau: float) -> "RefGraph":
         """``G≥τ`` (subgraph induced by vertices of weight ≥ τ)."""
@@ -186,11 +274,11 @@ class RefGraph(PrefixLookups):
 
     # ------------------------------------------------------------ conversions
     def edge_list(self) -> List[Tuple[int, int]]:
-        """Canonical (lower-id-first) undirected edge list."""
-        return sorted(
-            (min(u, v), max(u, v)) for u in self.adj for v in self.adj[u] if u < v
-        )
+        """Canonical (lower-id-first) undirected edge list, sorted."""
+        lower, upper = self.index.edge_ends()
+        a, b = np.minimum(lower, upper), np.maximum(lower, upper)
+        o = np.lexsort((b, a))
+        return list(zip(a[o].tolist(), b[o].tolist()))
 
     def copy_adj(self) -> Dict[int, Set[int]]:
         return {u: set(nbrs) for u, nbrs in self.adj.items()}
-

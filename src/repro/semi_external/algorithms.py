@@ -57,21 +57,20 @@ def local_search_se(
     """Top-k communities reading only the needed weight-prefix of the file."""
     next_size = growth(delta)
     blocks = (store.read_block(i) for i in range(store.n_blocks))
-    src: List[int] = []  # the loaded edge prefix, in file order
-    dst: List[int] = []
+    loaded = [np.empty((0, 2), np.int64)]  # the loaded edge prefix, in file order
+    n_loaded = 0
 
     def stage(tau: float):
+        nonlocal n_loaded
         r = store.r_for_tau(tau)
         m = store.size_at_tau(tau) - r  # |E(G≥τ)|: the first m edges
-        while len(src) < m:
-            blk = next(blocks)
-            src.extend(blk["src"].tolist())
-            dst.extend(blk["dst"].tolist())
-            store.note_resident(len(src))
+        while n_loaded < m:
+            loaded.append(next(blocks)[["src", "dst"]].to_numpy(np.int64))
+            n_loaded += len(loaded[-1])
+            store.note_resident(n_loaded)
         top = store.index.head(r)
-        sub = RefGraph(
-            dict(zip(top.ids.tolist(), top.weights.tolist())), zip(src[:m], dst[:m])
-        )
+        edges = np.concatenate(loaded)[:m]
+        sub = RefGraph(dict(zip(top.ids.tolist(), top.weights.tolist())), edges)
         peel = count_ic(sub, gamma)
         return Stage(tau, sub.size, peel.count), lambda k: enum_ic(sub, peel, k)
 

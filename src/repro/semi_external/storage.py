@@ -4,7 +4,11 @@ Following the §3.1 Remark / [27]: edges are sorted in **decreasing weight
 order** — the weight of an edge being the minimum weight of its endpoints
 (``w_min``) — and stored in fixed-size parquet blocks, so the edges of
 ``G≥τ_{i+1}`` that are not in ``G≥τ_i`` occupy a consecutive run of blocks
-and are loaded sequentially. Vertex-level information is assumed
+and are loaded sequentially. The blocks are the graph's §3.1 edge layout
+(``PrefixIndex.nbr``, which ``RefGraph`` keeps): ``write`` turns it into
+``src < dst, w_min`` rows with numpy, in layout order — grouped by the
+lower-weight endpoint's rank, each group in decreasing weight of the other
+endpoint — and cuts them into blocks. Vertex-level information is assumed
 memory-resident, as in the paper's semi-external model: ``vertices.parquet``
 is the graph's prefix index (``repro.ref.graph.PrefixIndex``), one row per
 vertex in decreasing weight order with its ``cum_size`` = ``size(G≥weight)``.
@@ -50,16 +54,19 @@ class EdgeBlockStore(PrefixLookups):
     @staticmethod
     def write(path: str, g: RefGraph, block_edges: int = 4096) -> "EdgeBlockStore":
         """Persist ``g``: vertices.parquet (its prefix index) +
-        block_%05d.parquet (edges by decreasing w_min)."""
+        block_%05d.parquet (its edge layout, ``src < dst``, by decreasing
+        w_min)."""
         os.makedirs(path, exist_ok=True)
         idx = g.index
         vp = pd.DataFrame({"id": idx.ids, "weight": idx.weights, "cum_size": idx.cum_size})
         vp.to_parquet(os.path.join(path, "vertices.parquet"))
-        el = g.edge_list()
-        w_min = np.array([min(g.weight[a], g.weight[b]) for a, b in el])
-        order = np.argsort(-w_min, kind="stable")
-        ep = pd.DataFrame(el, columns=["src", "dst"]).iloc[order].reset_index(drop=True)
-        ep["w_min"] = w_min[order]
+        lower, upper = idx.edge_ends()
+        ep = pd.DataFrame({
+            "src": np.minimum(lower, upper),
+            "dst": np.maximum(lower, upper),
+            "w_min": np.repeat(idx.weights, idx.up_degree),
+        })
+        del lower, upper
         files = []
         for i in range(0, max(len(ep), 1), block_edges):
             f = os.path.join(path, f"block_{i // block_edges:05d}.parquet")

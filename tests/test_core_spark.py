@@ -14,6 +14,7 @@ import repro.core.enum_ic as core_enum
 import repro.core.local_search as core_ls
 import repro.core.noncontainment as core_nc
 import repro.core.progressive as core_p
+from repro.baselines import global_search
 from repro.baselines.global_search import forward_spark, online_all_spark
 from repro.core.local_search import SURVIVAL, local_search_spark
 from repro.core.noncontainment import top_k_noncontainment_spark
@@ -24,6 +25,7 @@ from repro.core.truss_search import (
     local_search_truss_spark,
 )
 from repro.graphs.storage import SparkGraph
+from repro.ref.count_ic import gamma_core_set
 from repro.ref.enum_ic import all_communities_brute
 from repro.ref.graph import RefGraph
 from repro.ref.local_search import DRIVER, local_search, tau_star_size
@@ -276,6 +278,27 @@ class TestGlobalBaselinesSpark:
         ref, sg = g3
         assert online_all_spark(sg, gamma=3, k=4) == TOP4
         assert forward_spark(sg, gamma=3, k=4) == TOP4
+
+    @pytest.mark.parametrize("baseline", [online_all_spark, forward_spark])
+    def test_collect_only_finite_T_rows(self, g3, spark, monkeypatch, baseline):
+        """Only the vertices with finite T (the γ-core) and the edges between
+        them are collected to the driver."""
+        ref, sg = g3
+        got = record_calls(monkeypatch, global_search, "_components_pandas")
+        collected = []
+        frame = type(sg.edges)
+        to_pandas = frame.toPandas
+        monkeypatch.setattr(
+            frame, "toPandas", lambda df: collected.append(to_pandas(df)) or collected[-1]
+        )
+        assert baseline(sg, gamma=3, k=4) == TOP4
+        [(labels, edges, keys)] = got
+        assert set(labels["id"]) == gamma_core_set(ref.weight, ref.edge_list(), 3)
+        assert_only_live_rows(ref, labels, edges, ref.tau_min())
+        [edges_collected] = [f for f in collected if list(f.columns) == ["src", "dst"]]
+        assert len(edges_collected) == len(edges)
+        empty = SparkGraph.from_pandas(spark, *empty_frames())
+        assert baseline(empty, gamma=3, k=4) == []
 
 
 @pytest.fixture(scope="class")

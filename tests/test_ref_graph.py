@@ -1,6 +1,11 @@
 """RefGraph substrate: §3.1 organization invariants and edge cases."""
+import hypothesis.strategies as st
+import numpy as np
+import pandas as pd
 import pytest
+from hypothesis import given, settings
 
+from repro.graphs.storage import canonical_frames
 from repro.ref.cores import core_numbers, gamma_max_ref
 from repro.ref.count_ic import count_ic, gamma_core_set
 from repro.ref.graph import RefGraph
@@ -18,6 +23,8 @@ class TestConstruction:
     def test_rejects_duplicate_weights(self):
         with pytest.raises(ValueError, match="distinct"):
             RefGraph({0: 1.0, 1: 1.0}, [])
+        with pytest.raises(ValueError, match="distinct"):
+            canonical_frames(*frames({0: 1.0, 1: 1.0}, []))
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
@@ -34,9 +41,88 @@ class TestConstruction:
     def test_empty_graph(self):
         g = RefGraph({}, [])
         assert g.n == 0 and g.size == 0 and g.order == []
+        g = RefGraph({}, np.empty((0, 2), dtype=np.int64))
+        assert g.n == 0 and g.size == 0 and g.order == [] and g.edge_list() == []
+        with pytest.raises(ValueError, match="unknown"):
+            RefGraph({}, [(0, 1)])
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(1, 2), (3, 3)], "self-loop on 3"),
+            ([(1, 2), (2, 9)], r"edge \(2,9\) references unknown vertex"),
+            ([(9, 9)], "self-loop on 9"),  # the self-loop test comes first
+            ([(1, 9), (3, 3)], r"edge \(1,9\) references unknown vertex"),
+            ([(2, 2), (1, 9)], "self-loop on 2"),
+            ([(1, 2), (2, 3), (2, 1), (4, 4)], r"duplicate edge \(2,1\)"),
+        ],
+    )
+    def test_one_contract_names_the_first_offending_edge(self, edges, message):
+        """``RefGraph`` (from pairs or an array) and ``canonical_frames``
+        share one check, which names the first offending edge in input
+        order. ``RefGraph`` rejects duplicate edges; ``canonical_frames``
+        drops them (``TestGraphContract`` in ``test_core_spark``)."""
+        weights = {1: 6.0, 2: 5.0, 3: 4.0, 4: 3.0}
+        for g_edges in (edges, np.array(edges)):
+            with pytest.raises(ValueError, match=message):
+                RefGraph(weights, g_edges)
+        if "duplicate" not in message:
+            with pytest.raises(ValueError, match=message):
+                canonical_frames(*frames(weights, edges))
 
     def test_size_definition(self, g3):
         assert g3.size == g3.n + g3.n_edges == 22 + 47
+
+
+def frames(weights, edges):
+    return (
+        pd.DataFrame({"id": list(weights), "weight": list(weights.values())}),
+        pd.DataFrame(edges, columns=["src", "dst"], dtype="int64"),
+    )
+
+
+@st.composite
+def messy_order_graph(draw):
+    """Distinct ids and weights; the edges in random order and orientation."""
+    n = draw(st.integers(0, 14))
+    ids = draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n, unique=True))
+    weights = draw(st.lists(st.integers(1, 99), min_size=n, max_size=n, unique=True))
+    pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :]]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = [(b, a) if draw(st.booleans()) else (a, b) for a, b in chosen]
+    return dict(zip(ids, map(float, weights))), edges
+
+
+class TestArrayBuild:
+    @settings(max_examples=80, deadline=None)
+    @given(graph=messy_order_graph(), as_array=st.booleans())
+    def test_equals_brute_force(self, graph, as_array):
+        """The layout-built graph equals the §3.1 organization by definition."""
+        weights, edges = graph
+        g = RefGraph(weights, np.array(edges, dtype=np.int64).reshape(-1, 2) if as_array else edges)
+        adj = {v: set() for v in weights}
+        for a, b in edges:
+            adj[a].add(b)
+            adj[b].add(a)
+        order = sorted(weights, key=weights.get, reverse=True)
+        assert g.adj == adj and list(g.adj) == list(weights)
+        assert g.order == order
+        for v in weights:
+            want = sorted((u for u in adj[v] if weights[u] > weights[v]), key=weights.get)
+            assert list(g.n_ge(v)) == want[::-1]
+        assert g.index.ids.tolist() == order
+        assert g.index.weights.tolist() == [weights[v] for v in order]
+        assert g.index.cum_size.tolist() == [
+            r + sum(1 for a, b in edges if a in order[:r] and b in order[:r])
+            for r in range(1, len(order) + 1)
+        ]
+        assert g.edge_list() == sorted((min(a, b), max(a, b)) for a, b in edges)
+        for r in range(len(order) + 1):
+            sub = g.subgraph_top(r)
+            assert sub.order == order[:r]
+            assert sub.edge_list() == [
+                e for e in g.edge_list() if e[0] in order[:r] and e[1] in order[:r]
+            ]
 
 
 class TestOrganization:

@@ -1,5 +1,6 @@
 """Semi-external storage + algorithms (Eval-VI substrate)."""
 import numpy as np
+import pandas as pd
 import pytest
 
 import repro.semi_external.algorithms as se_alg
@@ -31,6 +32,25 @@ class TestStorage:
             last = blk["w_min"].iloc[-1]
             total += len(blk)
         assert total == g.n_edges
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_blocks_are_the_layout(self, tmp_path, seed):
+        """The blocks, concatenated, are ``g``'s edge layout; for every τ the
+        first ``size_at_tau(τ) − r_for_tau(τ)`` rows are exactly G≥τ's edges."""
+        g = random_ref_graph(40, 150, seed=seed)
+        store = EdgeBlockStore.write(str(tmp_path / "s"), g, block_edges=16)
+        blocks = pd.concat(list(store.scan()), ignore_index=True)
+        lower, upper = g.index.edge_ends()
+        assert blocks["src"].tolist() == np.minimum(lower, upper).tolist()
+        assert blocks["dst"].tolist() == np.maximum(lower, upper).tolist()
+        rows = list(zip(blocks["src"].tolist(), blocks["dst"].tolist()))
+        w_min = [min(g.weight[a], g.weight[b]) for a, b in rows]
+        assert blocks["w_min"].tolist() == w_min == sorted(w_min, reverse=True)
+        for tau in sorted(g.weight.values()) + [0.5, max(g.weight.values()) + 1]:
+            m = store.size_at_tau(tau) - store.r_for_tau(tau)
+            assert set(rows[:m]) == {
+                (a, b) for a, b in g.edge_list() if g.weight[a] >= tau and g.weight[b] >= tau
+            }
 
     def test_io_accounting(self, fig3_store):
         _, store = fig3_store
