@@ -22,14 +22,14 @@ def table1_ref(names: List[str], scale: float = 1.0) -> List[Dict]:
     rows = []
     for name in names:
         g = ref_graph(name, scale)
-        degs = [len(g.adj[v]) for v in g.weight]
+        indptr = g.csr[0]
         p = DATASETS[name].paper
         rows.append(
             {
                 "graph": name,
                 "n": g.n,
                 "m": g.n_edges,
-                "d_max": max(degs),
+                "d_max": max(b - a for a, b in zip(indptr, indptr[1:])),
                 "d_avg": round(2 * g.n_edges / g.n, 2),
                 "gamma_max": gamma_max_ref(g),
                 "paper_n": p.n,

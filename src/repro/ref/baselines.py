@@ -28,16 +28,19 @@ from .graph import RefGraph
 from .local_search import LocalSearchResult, Stage, grow_top_k, growth, peel_stage
 
 
-def _component(adj, alive, u) -> frozenset:
+def _component(peeler: _Peeler, u: int) -> frozenset:
+    """Ids of the alive component of rank ``u`` in the peeler's subgraph."""
+    indptr, nbrs = peeler.csr
+    alive = peeler.alive
     comp = {u}
     stack = [u]
     while stack:
         v = stack.pop()
-        for w in adj[v]:
-            if w in alive and w not in comp:
+        for w in nbrs[indptr[v] : indptr[v + 1]]:
+            if alive[w] and w not in comp:
                 comp.add(w)
                 stack.append(w)
-    return frozenset(comp)
+    return frozenset(peeler.ids[v] for v in comp)
 
 
 def online_all(
@@ -56,7 +59,7 @@ def online_all(
         u = peeler.pop_min()
         if u is None:
             break
-        out.append((g.weight[u], _component(peeler.adj, peeler.alive, u)))
+        out.append((g.weight[peeler.ids[u]], _component(peeler, u)))
         peeler.remove_cascade(u)
     return out[max(len(out) - k, 0):] if k is not None else out
 
@@ -74,7 +77,7 @@ def forward(g: RefGraph, k: int, gamma: int) -> List[Community]:
             break
         i += 1
         if i > total - k:  # pass 2: components only for the last k keynodes
-            out.append((g.weight[u], _component(peeler.adj, peeler.alive, u)))
+            out.append((g.weight[peeler.ids[u]], _component(peeler, u)))
         peeler.remove_cascade(u)
     return list(reversed(out))
 

@@ -1,10 +1,16 @@
 """Exact sequential CountIC (Algorithm 2) and ConstructCVS (Algorithm 5).
 
-``count_ic`` reduces the input graph to its γ-core, then repeatedly pops the
-minimum-weight vertex ``u`` (a *keynode*, Lemma 3.5), removes it and restores
-the γ-core with the queue-based ``Remove`` procedure. Each removed vertex is
-appended to the community-aware vertex sequence ``cvs``; the number of
-influential γ-communities equals ``len(keys)`` (Lemma 3.4).
+``count_ic`` reduces the input graph to its γ-core, then repeatedly takes
+the minimum-weight vertex ``u`` (a *keynode*, Lemma 3.5), removes it and
+restores the γ-core with the queue-based ``Remove`` procedure. Each removed
+vertex is appended to the community-aware vertex sequence ``cvs``; the
+number of influential γ-communities equals ``len(keys)`` (Lemma 3.4).
+
+The peel runs in rank space on int arrays over the graph's CSR
+(``PrefixIndex.csr``): a degree list, an ``alive`` bytearray and a rank
+queue, the O(m) core peel of Batagelj & Zaversnik. Vertices are in
+decreasing weight order (§3.1 ★★), so Line 5's arg-min is a cursor that
+walks the ranks down from the last one and never turns back.
 
 ``construct_cvs`` is the progressive variant (Algorithm 5): it stops as soon
 as the next minimum-weight vertex has weight ≥ ``tau_stop``, producing only
@@ -18,7 +24,6 @@ The module also contains independent brute-force definitions
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -27,134 +32,113 @@ from .graph import NEG_INF, RefGraph
 
 @dataclass
 class PeelResult:
-    """Output of CountIC/ConstructCVS.
+    """Output of CountIC/ConstructCVS, in the rank space of the peeled
+    subgraph, with id views.
 
-    ``keys``: keynodes in increasing weight order (pop order).
-    ``cvs``: community-aware vertex sequence, aligned with ``keys`` — the
-    vertices removed while popping ``keys[i]`` form the i-th group.
-    ``precore_removed``: vertices dropped by the initial γ-core reduction
-    (not part of ``cvs``, per Algorithm 2 Lines 1–3).
-    ``survivors``: vertices still alive when the peel stopped (empty unless
-    ``tau_stop`` made ConstructCVS break early).
+    ``ids``: the peeled subgraph's vertex ids by rank (decreasing weight);
+    ``csr``: its adjacency (``PrefixIndex.csr``), which the enumerations
+    read neighbours from.
+    ``bands``: the cvs groups gp(u) (§3.2.2) as ranks, each headed by its
+    keynode, keynodes in increasing weight order (pop order).
+    ``precore``: ranks dropped by the initial γ-core reduction (not part of
+    ``cvs``, per Algorithm 2 Lines 1–3).
     ``nc_flags``: for each keynode, whether it is a *non-containment* keynode
     (§5.1): no vertex removed in its group has an edge to a survivor of the
     group's removal.
     """
 
-    keys: List[int] = field(default_factory=list)
-    cvs: List[int] = field(default_factory=list)
-    precore_removed: List[int] = field(default_factory=list)
-    survivors: Set[int] = field(default_factory=set)
+    ids: List[int]
+    csr: Tuple[List[int], List[int]]
+    bands: List[List[int]] = field(default_factory=list)
+    precore: List[int] = field(default_factory=list)
     nc_flags: List[bool] = field(default_factory=list)
 
     @property
     def count(self) -> int:
-        return len(self.keys)
+        return len(self.bands)
+
+    @property
+    def keys(self) -> List[int]:
+        """Keynode ids in increasing weight order."""
+        return [self.ids[band[0]] for band in self.bands]
+
+    @property
+    def cvs(self) -> List[int]:
+        """The community-aware vertex sequence as ids: the bands in order."""
+        return [self.ids[v] for band in self.bands for v in band]
+
+    @property
+    def precore_removed(self) -> List[int]:
+        return [self.ids[v] for v in self.precore]
 
     def groups(self) -> List[List[int]]:
-        """Split ``cvs`` into per-keynode groups gp(u) (§3.2.2)."""
-        key_set = set(self.keys)
-        out: List[List[int]] = []
-        for v in self.cvs:
-            if v in key_set:
-                out.append([v])
-            else:
-                out[-1].append(v)
-        return out
+        """The cvs groups gp(u) as ids, aligned with ``keys``."""
+        return [[self.ids[v] for v in band] for band in self.bands]
 
 
 class _Peeler:
-    """Mutable peel state over a RefGraph (γ-core maintenance)."""
+    """γ-core peel state in rank space over the CSR of the top-``r``
+    prefix: degrees, an ``alive`` bytearray and the arg-min cursor."""
 
     def __init__(self, g: RefGraph, gamma: int, prefix: Optional[int] = None):
         """Peel the whole graph, or — via ``prefix=r`` — the subgraph induced
-        by the ``r`` highest-weight vertices, materialized in O(its size)
-        straight from the pre-partitioned ``N≥`` adjacency (§3.1 ★★): every
-        neighbor in ``N≥(u)`` of a prefix vertex ``u`` is itself in the
-        prefix, so the induced edges are exactly ∪_u {u} × N≥(u)."""
+        by the ``r`` highest-weight vertices, whose CSR is built from the
+        layout's first ``prefix_size(r) − r`` rows only (§3.1 ★★), in
+        O(its size)."""
         if gamma < 1:
             raise ValueError("gamma must be >= 1")
-        self.g = g
         self.gamma = gamma
-        if prefix is None:
-            self.adj = g.copy_adj()
-            self.alive: Set[int] = set(g.weight)
-        else:
-            keep = g.order[: min(prefix, g.n)]
-            self.adj = {v: set() for v in keep}
-            for u in keep:
-                for v in g.n_ge(u):
-                    self.adj[u].add(v)
-                    self.adj[v].add(u)
-            self.alive = set(keep)
-        self.deg = {u: len(nbrs) for u, nbrs in self.adj.items()}
-        # Min-heap over (weight, vertex) drives the arg-min of Line 5.
-        self.heap: List[Tuple[float, int]] = [(g.weight[u], u) for u in self.alive]
-        heapq.heapify(self.heap)
+        r = g.n if prefix is None else min(max(prefix, 0), g.n)
+        self.ids = g.order if r == g.n else g.index.ids[:r].tolist()
+        self.csr = g.csr if r == g.n else g.index.head(r).csr()
+        indptr = self.csr[0]
+        self.deg = [indptr[i + 1] - indptr[i] for i in range(r)]
+        self.alive = bytearray(b"\x01") * r
+        self.cursor = r - 1  # every rank past it has been removed
+
+    def remove(self, queue: List[int]) -> List[int]:
+        """Procedure ``Remove`` of Algorithm 2 for the already-killed
+        ``queue``: restores the γ-core, appending each vertex it kills
+        (Line 13: its degree drops below γ; each enters the queue once).
+        Returns the queue, in removal order."""
+        indptr, nbrs = self.csr
+        deg, alive, gamma = self.deg, self.alive, self.gamma
+        i = 0
+        while i < len(queue):
+            v = queue[i]
+            i += 1
+            for w in nbrs[indptr[v] : indptr[v + 1]]:
+                if alive[w]:
+                    deg[w] -= 1
+                    if deg[w] < gamma:
+                        alive[w] = 0
+                        queue.append(w)
+        return queue
 
     def reduce_core(self) -> List[int]:
         """Initial γ-core reduction (Algorithm 2, Line 1)."""
-        removed: List[int] = []
-        queue = [u for u in self.alive if self.deg[u] < self.gamma]
-        queued = set(queue)
-        while queue:
-            v = queue.pop()
-            for w in self.adj[v]:
-                self.deg[w] -= 1
-                if self.deg[w] < self.gamma and w in self.alive and w not in queued:
-                    queue.append(w)
-                    queued.add(w)
-            self.alive.discard(v)
-            self.adj_remove(v)
-            removed.append(v)
-        return removed
-
-    def adj_remove(self, v: int) -> None:
-        for w in self.adj[v]:
-            self.adj[w].discard(v)
-        self.adj[v] = set()
+        queue = [v for v, d in enumerate(self.deg) if d < self.gamma]
+        for v in queue:
+            self.alive[v] = 0
+        return self.remove(queue)
 
     def pop_min(self) -> Optional[int]:
-        while self.heap:
-            _, u = self.heap[0]
-            if u in self.alive:
-                return u
-            heapq.heappop(self.heap)
-        return None
+        """Line 5's arg-min: the alive vertex of least weight."""
+        while self.cursor >= 0 and not self.alive[self.cursor]:
+            self.cursor -= 1
+        return self.cursor if self.cursor >= 0 else None
 
     def remove_cascade(self, u: int) -> List[int]:
-        """Procedure ``Remove(u, g, cvs)`` of Algorithm 2.
-
-        Removes ``u`` and restores the γ-core; returns the removed vertices
-        in removal order (the cvs group of ``u``).
-        """
-        removed: List[int] = []
-        queue = [u]
-        queued = {u}
-        qi = 0
-        while qi < len(queue):
-            v = queue[qi]
-            qi += 1
-            for w in list(self.adj[v]):
-                # Line 13: push w when its degree is exactly γ (about to drop
-                # below γ once v goes); each vertex enters the queue once.
-                if self.deg[w] == self.gamma and w not in queued:
-                    queue.append(w)
-                    queued.add(w)
-            for w in self.adj[v]:
-                self.deg[w] -= 1
-            self.alive.discard(v)
-            self.adj_remove(v)
-            removed.append(v)
-        return removed
+        """``Remove(u, g, cvs)``: the cvs group of keynode ``u``."""
+        self.alive[u] = 0
+        return self.remove([u])
 
     def has_edge_to_alive(self, vertices: List[int]) -> bool:
-        """Does any of ``vertices`` touch a currently-alive vertex?
-
-        Used for the non-containment keynode test of §5.1 (checked on the
-        *original* adjacency because the peel already cleared these rows).
-        """
-        return any(w in self.alive for v in vertices for w in self.g.adj[v])
+        """Does any of ``vertices`` touch a currently-alive vertex? The
+        non-containment keynode test of §5.1."""
+        indptr, nbrs = self.csr
+        alive = self.alive
+        return any(alive[w] for v in vertices for w in nbrs[indptr[v] : indptr[v + 1]])
 
 
 def count_ic(
@@ -166,24 +150,22 @@ def count_ic(
     """Algorithm 2 (``tau_stop=None``) / Algorithm 5 (``tau_stop=τ``).
 
     With ``prefix=r`` the peel runs on the top-``r`` induced subgraph,
-    extracted in linear time from the N≥ adjacency split — the form every
-    local-search driver uses. Runs in O(size of the peeled graph): every
-    vertex is popped/queued at most once, each edge touched O(1) times.
+    whose CSR is the layout's prefix — the form every local-search driver
+    uses. Runs in O(size of the peeled graph): every vertex is queued at
+    most once, each edge touched O(1) times, and the cursor passes each
+    rank once.
     """
     peeler = _Peeler(g, gamma, prefix=prefix)
-    res = PeelResult()
-    res.precore_removed = peeler.reduce_core()
+    res = PeelResult(peeler.ids, peeler.csr, precore=peeler.reduce_core())
     while True:
         u = peeler.pop_min()
         if u is None:
             break
-        if tau_stop is not None and g.weight[u] >= tau_stop:
+        if tau_stop is not None and g.weight[peeler.ids[u]] >= tau_stop:
             break
-        res.keys.append(u)
-        group = peeler.remove_cascade(u)
-        res.cvs.extend(group)
-        res.nc_flags.append(not peeler.has_edge_to_alive(group))
-    res.survivors = set(peeler.alive)
+        band = peeler.remove_cascade(u)
+        res.bands.append(band)
+        res.nc_flags.append(not peeler.has_edge_to_alive(band))
     return res
 
 

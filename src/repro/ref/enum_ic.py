@@ -52,36 +52,31 @@ class _DSU:
 def enum_ic(g: RefGraph, peel: PeelResult, k: int) -> List[Community]:
     """Top-k communities from ``keys``/``cvs``, highest influence first.
 
-    Mirrors Algorithm 3: processes the last ``k`` keynodes in decreasing
-    weight order, builds gp(u) from cvs, discovers child communities through
-    neighbors already assigned to a key (``v2key`` = DSU + root→key map),
-    and links them in ``Ch(u)``. ``k ≤ 0`` asks for nothing; ``None`` for all.
+    Mirrors Algorithm 3 in the peel's rank space: processes the last ``k``
+    keynodes in decreasing weight order, takes gp(u) from its cvs band,
+    discovers child communities through neighbors (read from the peel's
+    CSR) already assigned to a key (``v2key`` = DSU + root→key map), and
+    links them in ``Ch(u)``. ``k ≤ 0`` asks for nothing; ``None`` for all.
     """
-    keys = list(peel.keys) if k is None else peel.keys[max(len(peel.keys) - k, 0):]
-    if not keys:
+    bands = peel.bands if k is None else peel.bands[max(len(peel.bands) - k, 0):]
+    if not bands:
         return []
-    pos = {v: i for i, v in enumerate(peel.cvs)}
-    key_set = set(peel.keys)
+    indptr, nbrs = peel.csr
     dsu = _DSU()
     root_key: Dict[int, int] = {}  # DSU root -> keynode it currently represents
     gp: Dict[int, List[int]] = {}
     ch: Dict[int, List[int]] = {}
-    for u in reversed(keys):  # decreasing weight order
-        gp[u] = []
+    for band in reversed(bands):  # decreasing weight order
+        u = band[0]
+        gp[u] = band
         ch[u] = []
-        i = pos[u]
-        while i < len(peel.cvs):
-            v = peel.cvs[i]
-            if v in key_set and v != u:
-                break
-            gp[u].append(v)
+        for v in band:
             dsu.add(v)
-            i += 1
-        for v in gp[u]:
+        for v in band:
             dsu.union_into(v, u)
         root_key[dsu.find(u)] = u
-        for v in gp[u]:
-            for w in g.adj[v]:
+        for v in band:
+            for w in nbrs[indptr[v] : indptr[v + 1]]:
                 if w not in dsu.parent:
                     continue  # v2key(w) = null — not yet assigned
                 rw = dsu.find(w)
@@ -102,8 +97,11 @@ def enum_ic(g: RefGraph, peel: PeelResult, k: int) -> List[Community]:
             memo[u] = s
         return memo[u]
 
-    out = [(g.weight[u], frozenset(materialize(u))) for u in reversed(keys)]
-    return out
+    ids = peel.ids
+    return [
+        (g.weight[ids[band[0]]], frozenset(ids[v] for v in materialize(band[0])))
+        for band in reversed(bands)
+    ]
 
 
 def top_k_via_count(g: RefGraph, k: int, gamma: int) -> List[Community]:

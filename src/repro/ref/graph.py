@@ -23,15 +23,19 @@ in its own size. The Remark adds that edges are stored by decreasing
   rank, each group ``N≥(u)`` in decreasing weight. The edges of the top-``r``
   vertices' subgraph are its first ``prefix_size(r) − r`` rows.
 
-:class:`RefGraph` keeps the layout and reads its ``N≥`` lists, adjacency
-sets, ``subgraph_top`` and ``edge_list`` off it; ``EdgeBlockStore.write``
-(``repro.semi_external.storage``) writes its blocks straight from it. It is
-the substrate for the exact sequential algorithms in ``repro.ref``.
+:class:`RefGraph` is that layout and nothing more at construction: its
+``N≥`` lists, ``subgraph_top`` and ``edge_list`` are read off it, and the
+both-halves CSR that the peels walk (:meth:`PrefixIndex.csr`, in rank
+space) and the adjacency sets of the read-only callers are derived from it
+on first use. ``EdgeBlockStore.write`` (``repro.semi_external.storage``)
+writes its blocks straight from the layout. It is the substrate for the
+exact sequential algorithms in ``repro.ref``.
 
 Weights must be pairwise distinct (paper §2 assumption).
 """
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -192,6 +196,20 @@ class PrefixIndex:
             nbr = self.nbr[: int(self.cum_size[r - 1]) - r if r > 0 else 0]
         return PrefixIndex(self.ids[:r], self.weights[:r], self.cum_size[:r], nbr)
 
+    def csr(self) -> Tuple[List[int], List[int]]:
+        """The graph's adjacency in rank space, both halves of every layout
+        row: the neighbour ranks of rank ``i`` are
+        ``nbrs[indptr[i]:indptr[i + 1]]``, ascending. It costs O(size) of
+        this index's graph, so ``head(r).csr()`` is the top-``r`` subgraph's
+        in O(its size). Plain lists: the peels index them one vertex at a
+        time."""
+        low = np.repeat(np.arange(self.n), self.up_degree)
+        heads = np.concatenate((low, self.nbr))
+        perm = np.argsort(heads, kind="stable")
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(heads, minlength=self.n), out=indptr[1:])
+        return indptr.tolist(), np.concatenate((self.nbr, low))[perm].tolist()
+
 
 class RefGraph(PrefixLookups):
     """A vertex-weighted undirected graph with the paper's weight-sorted layout.
@@ -205,8 +223,9 @@ class RefGraph(PrefixLookups):
         iterable of pairs; duplicates (in either orientation) and self-loops
         are rejected.
 
-    ``index`` holds the prefix index and the §3.1 edge layout; ``order``,
-    the ``N≥`` lists and ``adj`` are read off it.
+    ``index`` holds the prefix index and the §3.1 edge layout, and is all
+    that construction builds. ``order``, ``csr``, ``adj`` and the ``N≥``
+    lists are read off it on first use.
     """
 
     def __init__(self, weights: Dict[int, float], edges: Iterable[Tuple[int, int]]):
@@ -216,33 +235,12 @@ class RefGraph(PrefixLookups):
             edges = list(edges)
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         self.n_edges = len(edges)
-        self.index = idx = PrefixIndex.build(
+        self.index = PrefixIndex.build(
             np.fromiter(self.weight, np.int64, n),
             np.fromiter(self.weight.values(), np.float64, n),
             edges[:, 0],
             edges[:, 1],
         )
-        # The vertex ids as one Python int each, which every list and set
-        # below shares.
-        id_obj = np.array(idx.ids.tolist(), dtype=object)
-        # ★★ vertices pre-sorted in decreasing weight order.
-        self.order: List[int] = id_obj.tolist()
-        # ★★ adjacency pre-partitioned into N≥ / N< by neighbor weight:
-        # N≥(u) is u's group of the layout.
-        low = np.repeat(np.arange(n), idx.up_degree)
-        upper = id_obj[idx.nbr].tolist()
-        bounds = np.searchsorted(low, np.arange(n + 1)).tolist()
-        self._n_ge: Dict[int, List[int]] = {
-            u: upper[bounds[i] : bounds[i + 1]] for i, u in enumerate(self.order)
-        }
-        # adj from both halves, grouped by rank: the layout rows and their reverses.
-        heads = np.concatenate((low, idx.nbr))
-        perm = np.argsort(heads, kind="stable")
-        tails = id_obj[np.concatenate((idx.nbr, low))[perm]].tolist()
-        bounds = np.searchsorted(heads[perm], np.arange(n + 1)).tolist()
-        by_rank = [set(tails[bounds[i] : bounds[i + 1]]) for i in range(n)]
-        rank = dict(zip(self.order, range(n)))
-        self.adj: Dict[int, Set[int]] = {v: by_rank[rank[v]] for v in self.weight}
 
     # ------------------------------------------------------------------ basic
     @property
@@ -254,19 +252,49 @@ class RefGraph(PrefixLookups):
         """``size(G) = |V| + |E|`` (paper §2)."""
         return self.n + self.n_edges
 
+    @cached_property
+    def order(self) -> List[int]:
+        """★★ The vertex ids in decreasing weight order: rank → id."""
+        return self.index.ids.tolist()
+
+    @cached_property
+    def rank(self) -> Dict[int, int]:
+        """id → rank, the inverse of ``order``."""
+        return dict(zip(self.order, range(self.n)))
+
+    @cached_property
+    def csr(self) -> Tuple[List[int], List[int]]:
+        """The whole graph's rank-space CSR (:meth:`PrefixIndex.csr`)."""
+        return self.index.csr()
+
+    @cached_property
+    def adj(self) -> Dict[int, Set[int]]:
+        """Neighbour sets by id, in ``weight`` order, for read-only callers."""
+        indptr, nbrs = self.csr
+        tails = np.array(self.order, dtype=object)[nbrs].tolist() if nbrs else []
+        by_rank = [set(tails[indptr[i] : indptr[i + 1]]) for i in range(self.n)]
+        rank = self.rank
+        return {v: by_rank[rank[v]] for v in self.weight}
+
     def n_ge(self, u: int) -> Sequence[int]:
-        """Neighbors of ``u`` with weight ≥ ω(u), in decreasing weight order."""
-        return self._n_ge[u]
+        """★★ Neighbors of ``u`` with weight ≥ ω(u), in decreasing weight
+        order: ``u``'s group of the layout."""
+        i = self.rank[u]
+        idx = self.index
+        start = int(idx.cum_size[i - 1]) - i if i else 0
+        return idx.ids[idx.nbr[start : int(idx.cum_size[i]) - i - 1]].tolist()
 
     def degree(self, u: int) -> int:
-        return len(self.adj[u])
+        indptr = self.csr[0]
+        i = self.rank[u]
+        return indptr[i + 1] - indptr[i]
 
     # -------------------------------------------------------------- subgraphs
     def subgraph_top(self, r: int) -> "RefGraph":
         """Induced subgraph of the top-``r`` vertices: the layout's prefix."""
-        r = min(max(r, 0), self.n)
-        w = {v: self.weight[v] for v in self.order[:r]}
-        return RefGraph(w, np.column_stack(self.index.head(r).edge_ends()))
+        head = self.index.head(max(r, 0))
+        w = dict(zip(head.ids.tolist(), head.weights.tolist()))
+        return RefGraph(w, np.column_stack(head.edge_ends()))
 
     def subgraph_ge(self, tau: float) -> "RefGraph":
         """``G≥τ`` (subgraph induced by vertices of weight ≥ τ)."""

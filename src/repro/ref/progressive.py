@@ -64,16 +64,19 @@ class _CommunityDSU:
     def stream(self, g: RefGraph, peel: PeelResult) -> Iterator[Community]:
         """Activate a ConstructCVS peel's cvs bands (keynode first) in
         decreasing keynode weight, the reverse of the order they arrive in,
-        each unioned with its already-active neighbors; yield each keynode's
-        community once its band is active."""
-        for band in reversed(peel.groups()):
+        each unioned with its already-active neighbors (read from the peel's
+        CSR); yield each keynode's community once its band is active."""
+        indptr, nbrs = peel.csr
+        ids = peel.ids
+        for band in reversed(peel.bands):
             for v in band:
-                self.add(v)
+                self.add(ids[v])
             for v in band:
-                for x in g.adj[v]:
-                    if x in self.parent:  # already activated ⇒ band ≥ ω(u)
-                        self.union(v, x)
-            yield g.weight[band[0]], frozenset(self.members[self.find(band[0])])
+                for x in nbrs[indptr[v] : indptr[v + 1]]:
+                    if ids[x] in self.parent:  # already activated ⇒ band ≥ ω(u)
+                        self.union(ids[v], ids[x])
+            u = ids[band[0]]
+            yield g.weight[u], frozenset(self.members[self.find(u)])
 
 
 def progressive(g, rank: int, next_size, stage) -> Iterator[Community]:

@@ -65,7 +65,8 @@ def local_search_se(
         r = store.r_for_tau(tau)
         m = store.size_at_tau(tau) - r  # |E(G≥τ)|: the first m edges
         while n_loaded < m:
-            loaded.append(next(blocks)[["src", "dst"]].to_numpy(np.int64))
+            blk = next(blocks)
+            loaded.append(np.column_stack((blk["src"].to_numpy(), blk["dst"].to_numpy())))
             n_loaded += len(loaded[-1])
             store.note_resident(n_loaded)
         top = store.index.head(r)
@@ -140,7 +141,7 @@ def online_all_se(
     store: EdgeBlockStore, gamma: int, k: Optional[int] = None
 ) -> Tuple[List[Community], EdgeBlockStore]:
     """All communities in decreasing influence order (top-``k`` if given)."""
-    vp = store.vertices().sort_values("id")
+    vp = store.vertices().sort_by("id")
     ids = vp["id"].to_numpy()
     assert np.array_equal(ids, np.arange(len(ids))), "contiguous ids expected"
     weights = vp["weight"].to_numpy().astype(float)

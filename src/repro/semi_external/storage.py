@@ -29,7 +29,8 @@ from functools import cached_property
 from typing import Iterator, List, Tuple
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
+import pyarrow.parquet as pq
 
 from repro.ref.graph import PrefixIndex, PrefixLookups, RefGraph
 
@@ -58,19 +59,21 @@ class EdgeBlockStore(PrefixLookups):
         w_min)."""
         os.makedirs(path, exist_ok=True)
         idx = g.index
-        vp = pd.DataFrame({"id": idx.ids, "weight": idx.weights, "cum_size": idx.cum_size})
-        vp.to_parquet(os.path.join(path, "vertices.parquet"))
+        pq.write_table(
+            pa.table({"id": idx.ids, "weight": idx.weights, "cum_size": idx.cum_size}),
+            os.path.join(path, "vertices.parquet"),
+        )
         lower, upper = idx.edge_ends()
-        ep = pd.DataFrame({
+        edges = pa.table({
             "src": np.minimum(lower, upper),
             "dst": np.maximum(lower, upper),
             "w_min": np.repeat(idx.weights, idx.up_degree),
         })
         del lower, upper
         files = []
-        for i in range(0, max(len(ep), 1), block_edges):
+        for i in range(0, max(edges.num_rows, 1), block_edges):
             f = os.path.join(path, f"block_{i // block_edges:05d}.parquet")
-            ep.iloc[i : i + block_edges].to_parquet(f)
+            pq.write_table(edges.slice(i, block_edges), f)
             files.append(f)
         return EdgeBlockStore(path=path, block_files=files)
 
@@ -82,11 +85,11 @@ class EdgeBlockStore(PrefixLookups):
         )
 
     # ------------------------------------------------------------- read side
-    def vertices(self) -> pd.DataFrame:
+    def vertices(self) -> pa.Table:
         """Vertex table ``(id, weight, cum_size)`` in decreasing weight order
         — memory-resident per the semi-external model (not counted as edge
         I/O)."""
-        return pd.read_parquet(os.path.join(self.path, "vertices.parquet"))
+        return pq.read_table(os.path.join(self.path, "vertices.parquet"))
 
     @cached_property
     def index(self) -> PrefixIndex:
@@ -98,13 +101,14 @@ class EdgeBlockStore(PrefixLookups):
     def n_blocks(self) -> int:
         return len(self.block_files)
 
-    def read_block(self, i: int) -> pd.DataFrame:
+    def read_block(self, i: int) -> pa.Table:
+        """Block ``i``: columns ``src``, ``dst``, ``w_min``."""
         f = self.block_files[i]
         self.stats.blocks_read += 1
         self.stats.bytes_read += os.path.getsize(f)
-        return pd.read_parquet(f)
+        return pq.read_table(f)
 
-    def scan(self) -> Iterator[pd.DataFrame]:
+    def scan(self) -> Iterator[pa.Table]:
         """One sequential pass over all blocks in decreasing weight order."""
         self.stats.full_scans += 1
         for i in range(self.n_blocks):

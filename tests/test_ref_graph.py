@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from repro.graphs.storage import canonical_frames
 from repro.ref.cores import core_numbers, gamma_max_ref
 from repro.ref.count_ic import count_ic, gamma_core_set
+from repro.ref.enum_ic import enum_ic
 from repro.ref.graph import RefGraph
 
 from .paper_graphs import fig1_graph, fig3_graph
@@ -177,6 +178,22 @@ class TestOrganization:
             b = g3.subgraph_top(g3.r_for_tau(tau))
             assert set(a.weight) == set(b.weight)
             assert a.edge_list() == b.edge_list()
+
+
+class TestPrefixLocality:
+    @pytest.mark.parametrize("r", [7, 12, 17])
+    def test_prefix_peel_reads_only_the_prefix_rows(self, r):
+        """CountIC and EnumIC on the top-``r`` prefix read only the first
+        ``prefix_size(r) − r`` layout rows (Lemma 3.8's locality): with
+        every later row poisoned they still answer as on the subgraph."""
+        want_graph = fig3_graph().subgraph_top(r)
+        want = count_ic(want_graph, 3)
+        g = fig3_graph()
+        g.index.nbr[g.prefix_size(r) - r :] = 10**9
+        peel = count_ic(g, 3, prefix=r)
+        assert (peel.keys, peel.cvs, peel.nc_flags) == (want.keys, want.cvs, want.nc_flags)
+        assert enum_ic(g, peel, None) == enum_ic(want_graph, want, None)
+        assert "csr" not in g.__dict__
 
 
 class TestCoreNumbers:

@@ -22,6 +22,8 @@ from repro.ref.truss import (
     truss_keynodes_brute,
 )
 
+from .paper_graphs import fig3_graph
+
 
 @st.composite
 def random_graph(draw, max_n=28, max_extra_edges=60):
@@ -59,6 +61,58 @@ def test_cvs_groups_are_survival_bands(g, gamma):
     in_cvs = set(peel.cvs)
     for v, t in T.items():
         assert (t == NEG_INF) == (v not in in_cvs)
+
+
+def check_peel_against_brute(g, gamma, r, tau_stop):
+    """The rank-space peel of the top-``r`` prefix, stopped at ``tau_stop``,
+    against the suffix-core oracles on ``g.subgraph_top(r)``: its keys are
+    the keynodes below ``tau_stop``, each cvs group is its T-band, and its
+    non-containment flag says whether the band has no edge into the
+    vertices that outlive it."""
+    peel = count_ic(g, gamma, tau_stop=tau_stop, prefix=r)
+    sub = g.subgraph_top(r)
+    whole = count_ic(sub, gamma, tau_stop=tau_stop)
+    assert (peel.keys, peel.cvs, peel.precore_removed, peel.nc_flags) == (
+        whole.keys, whole.cvs, whole.precore_removed, whole.nc_flags
+    )
+    stop = float("inf") if tau_stop is None else tau_stop
+    assert peel.keys == [u for u in keynodes_brute(sub, gamma) if sub.weight[u] < stop]
+    T = survival_threshold_brute(sub, gamma)
+    bounds = [sub.weight[u] for u in keynodes_brute(sub, gamma)] + [float("inf")]
+    edges = sub.edge_list()
+    for i, grp in enumerate(peel.groups()):
+        lo, hi = bounds[i], bounds[i + 1]
+        band = {v for v, t in T.items() if lo <= t < hi}
+        assert set(grp) == band
+        later = {v for v, t in T.items() if t >= hi}
+        touches = any((a in band and b in later) or (b in band and a in later) for a, b in edges)
+        assert peel.nc_flags[i] == (not touches)
+    if tau_stop is None:
+        assert set(peel.precore_removed) == {v for v, t in T.items() if t == NEG_INF}
+
+
+@st.composite
+def peel_case(draw):
+    """A graph, γ, a prefix length r and a ConstructCVS stop (or none)."""
+    g = draw(random_graph())
+    r = draw(st.integers(0, g.n))
+    weights = sorted(g.weight.values())
+    tau_stop = draw(st.none() | st.sampled_from(weights + [weights[-1] + 1]))
+    return g, draw(GAMMAS), r, tau_stop
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=peel_case())
+def test_prefix_peel_matches_brute(case):
+    check_peel_against_brute(*case)
+
+
+def test_prefix_peel_matches_brute_fig3():
+    g = fig3_graph()
+    for gamma in (1, 2, 3, 4):
+        for r in (0, 1, 7, 12, 17, g.n):
+            for tau_stop in (None, 12.0, 18.0):
+                check_peel_against_brute(g, gamma, r, tau_stop)
 
 
 @settings(max_examples=40, deadline=None)

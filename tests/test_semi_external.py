@@ -1,6 +1,6 @@
 """Semi-external storage + algorithms (Eval-VI substrate)."""
 import numpy as np
-import pandas as pd
+import pyarrow as pa
 import pytest
 
 import repro.semi_external.algorithms as se_alg
@@ -26,7 +26,7 @@ class TestStorage:
         g, store = fig3_store
         last = float("inf")
         total = 0
-        for blk in store.scan():
+        for blk in map(pa.Table.to_pandas, store.scan()):
             assert (blk["w_min"].diff().dropna() <= 0).all()
             assert blk["w_min"].iloc[0] <= last
             last = blk["w_min"].iloc[-1]
@@ -39,7 +39,7 @@ class TestStorage:
         first ``size_at_tau(τ) − r_for_tau(τ)`` rows are exactly G≥τ's edges."""
         g = random_ref_graph(40, 150, seed=seed)
         store = EdgeBlockStore.write(str(tmp_path / "s"), g, block_edges=16)
-        blocks = pd.concat(list(store.scan()), ignore_index=True)
+        blocks = pa.concat_tables(store.scan()).to_pandas()
         lower, upper = g.index.edge_ends()
         assert blocks["src"].tolist() == np.minimum(lower, upper).tolist()
         assert blocks["dst"].tolist() == np.maximum(lower, upper).tolist()
@@ -51,6 +51,15 @@ class TestStorage:
             assert set(rows[:m]) == {
                 (a, b) for a, b in g.edge_list() if g.weight[a] >= tau and g.weight[b] >= tau
             }
+
+    def test_setup_builds_only_the_layout(self, tmp_path):
+        """A RefGraph built and written as se-disk's set-up does it builds
+        neither its adjacency sets nor its CSR: both are derived on first
+        use, and neither the build nor the write needs them."""
+        v, e = build_dataset_pandas("email", scale=0.05)
+        g = as_ref_graph(e, v)
+        EdgeBlockStore.write(str(tmp_path / "s"), g, block_edges=64)
+        assert "adj" not in g.__dict__ and "csr" not in g.__dict__
 
     def test_io_accounting(self, fig3_store):
         _, store = fig3_store
