@@ -79,19 +79,19 @@ def spark_stage(
 ) -> Callable[..., Tuple[Stage, Any]]:
     """A growth-driver stage over ``sg`` that picks its route per stage.
 
-    ``stage(τ, …)`` slices ``G≥τ`` and, when it fits the driver budget,
-    collects it and runs ``ref_stage(g)(τ, …)``: the ``ref`` variant's own
-    stage on the collected ``RefGraph``, route ``DRIVER``. Otherwise it runs
-    ``distributed_stage(G≥τ, τ, …)``.
+    ``stage(τ, …)`` checks ``size(G≥τ)`` against the driver budget on the
+    prefix index (no Spark job). When it fits, ``SparkGraph.to_ref``
+    collects ``G≥τ``'s edges, the one Spark job of the stage, and
+    ``ref_stage(g)(τ, …)`` runs on the collected ``RefGraph``: the ``ref``
+    variant's own stage, route ``DRIVER``. Otherwise it runs
+    ``distributed_stage(sg.subgraph_ge(τ), τ, …)``.
     """
     budget = driver_rows_budget(sg.vertices.sparkSession)
 
     def stage(tau: float, *rest):
-        sub = sg.subgraph_ge(tau)
-        g = sub.to_ref(budget)
-        if g is not None:
-            return ref_stage(g)(tau, *rest)
-        return distributed_stage(sub, tau, *rest)
+        if sg.size_at_tau(tau) <= budget:
+            return ref_stage(sg.to_ref(tau))(tau, *rest)
+        return distributed_stage(sg.subgraph_ge(tau), tau, *rest)
 
     return stage
 

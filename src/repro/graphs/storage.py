@@ -7,15 +7,18 @@ The paper's two starred assumptions map onto this layout:
   index** (``repro.ref.graph.PrefixIndex``: the vertices in decreasing
   weight order and the cumulative ``size`` = vertices + edges of every
   weight-suffix subgraph), built once on the driver from the canonical
-  pandas frames at load. Algorithm 1's lookups (Line 1's τ₁, Line 4's doubling step) are
-  binary searches on it and run no Spark job;
-* *adjacency pre-partitioned into N≥/N<* → every edge row carries
-  ``w_min = min(ω(src), ω(dst))``, so the induced subgraph ``G≥τ`` is the
-  Catalyst filter ``w_min ≥ τ`` on edges (each edge "belongs to" its
-  lower-weight endpoint, exactly the ``N≥`` half of the split).
+  pandas frames at load. Algorithm 1's lookups (Line 1's τ₁, Line 4's
+  doubling step) are binary searches on it and run no Spark job;
+* *adjacency pre-partitioned into N≥/N<* → the edge frame is the index's
+  edge layout (each edge charged to its lower-weight endpoint, exactly the
+  ``N≥`` half of the split), three columns ``src < dst, w_min`` with
+  ``w_min = min(ω(src), ω(dst))``, in layout order, so in non-increasing
+  ``w_min``. The induced subgraph ``G≥τ`` is the Catalyst filter
+  ``w_min ≥ τ`` on edges, and its rows are the frame's first
+  ``size_at_tau(τ) − r_for_tau(τ)``.
 
-All per-query subgraph extraction therefore stays inside Catalyst; no
-shuffling of the full graph is needed to start a local search.
+Both frames are written from the driver's index in one ``createDataFrame``
+each: the weights need no join, and no shuffle builds or reads them.
 """
 from __future__ import annotations
 
@@ -31,7 +34,7 @@ from repro.ref.graph import PrefixIndex, PrefixLookups, RefGraph, check_graph
 
 NEG_INF = float("-inf")
 VERTEX_SCHEMA = "id long, weight double"
-EDGE_SCHEMA = "src long, dst long"
+EDGE_SCHEMA = "src long, dst long, w_min double"
 
 
 def canonical_frames(
@@ -56,12 +59,13 @@ def canonical_frames(
 
 @dataclass
 class SparkGraph(PrefixLookups):
-    """Vertex-weighted undirected graph in DataFrames.
+    """Vertex-weighted undirected graph in DataFrames, in the §3.1 layout.
 
-    ``vertices``: ``id: long, weight: double`` (weights pairwise distinct).
-    ``edges``: canonical ``src < dst`` rows with both endpoint weights and
-    ``w_min``/``w_max`` precomputed. ``index``: the graph's prefix index,
-    on the driver; the growth driver's lookups read it.
+    ``vertices``: ``id: long, weight: double`` (weights pairwise distinct),
+    in decreasing weight order. ``edges``: ``src: long, dst: long, w_min:
+    double``, canonical ``src < dst`` rows in the index's edge layout, so in
+    non-increasing ``w_min``. ``index``: the graph's prefix index, on the
+    driver; the growth driver's lookups read it. Both frames are cached.
     """
 
     vertices: DataFrame
@@ -75,43 +79,33 @@ class SparkGraph(PrefixLookups):
         spark: SparkSession, vertices: pd.DataFrame, edges: pd.DataFrame
     ) -> "SparkGraph":
         """Build from pandas ``(id, weight)`` and ``(src, dst)`` frames,
-        checked and canonicalised by :func:`canonical_frames` first."""
+        checked and canonicalised by :func:`canonical_frames` first.
+
+        Both frames are written from the prefix index on the driver, in rank
+        and layout order, and cached and materialised here: no join, no
+        shuffle, and the first query pays for no cache build.
+        """
         vertices, edges = canonical_frames(vertices, edges)
-        v = spark.createDataFrame(vertices, schema=VERTEX_SCHEMA).cache()
-        w = v.select(F.col("id").alias("_wid"), F.col("weight").alias("_w"))
-        e = (
-            spark.createDataFrame(edges, schema=EDGE_SCHEMA)
-            .join(w.withColumnsRenamed({"_wid": "src", "_w": "w_src"}), "src")
-            .join(w.withColumnsRenamed({"_wid": "dst", "_w": "w_dst"}), "dst")
-            .select(
-                "src",
-                "dst",
-                "w_src",
-                "w_dst",
-                F.least("w_src", "w_dst").alias("w_min"),
-                F.greatest("w_src", "w_dst").alias("w_max"),
-            )
-            .cache()
-        )
         index = PrefixIndex.build(vertices["id"], vertices["weight"], edges["src"], edges["dst"])
+        lower, upper = index.edge_ends()
+        v = spark.createDataFrame(
+            pd.DataFrame({"id": index.ids, "weight": index.weights}), schema=VERTEX_SCHEMA
+        )
+        e = spark.createDataFrame(
+            pd.DataFrame({
+                "src": np.minimum(lower, upper),
+                "dst": np.maximum(lower, upper),
+                "w_min": np.repeat(index.weights, index.up_degree),
+            }),
+            schema=EDGE_SCHEMA,
+        )
+        for df in (v.cache(), e.cache()):
+            df.count()
         return SparkGraph(vertices=v, edges=e, index=index)
 
     # ----------------------------------------------------------- basic info
     def counts(self) -> Tuple[int, int]:
         return self.vertices.count(), self.edges.count()
-
-    def half_edges(self) -> DataFrame:
-        """Both orientations: ``(u, v, w_u, w_v)`` — 2m rows."""
-        e = self.edges
-        return e.select(
-            F.col("src").alias("u"), F.col("dst").alias("v"),
-            F.col("w_src").alias("w_u"), F.col("w_dst").alias("w_v"),
-        ).unionAll(
-            e.select(
-                F.col("dst").alias("u"), F.col("src").alias("v"),
-                F.col("w_dst").alias("w_u"), F.col("w_src").alias("w_v"),
-            )
-        )
 
     # -------------------------------------------------------- §3.1 machinery
     def subgraph_ge(self, tau: float) -> "SparkGraph":
@@ -140,16 +134,13 @@ class SparkGraph(PrefixLookups):
             )
         return self._prefix
 
-    def to_ref(self, max_rows: int) -> Optional[RefGraph]:
-        """This graph as a :class:`RefGraph` on the driver, or ``None`` when
-        it has more than ``max_rows`` rows (vertices + edges).
+    def to_ref(self, tau: float) -> RefGraph:
+        """``G≥τ`` as a :class:`RefGraph` on the driver, in one Spark job.
 
-        The prefix index holds the vertices and the size, so a graph over
-        the budget costs no Spark job and one under it a single collect, of
-        its edges.
+        Its vertices are the prefix index's head, so the one collect is of
+        its edges: the filter ``w_min ≥ τ``, which keeps the layout's first
+        ``size_at_tau(τ) − r_for_tau(τ)`` rows.
         """
-        idx = self.index
-        if self.prefix_size(idx.n) > max_rows:
-            return None
-        e = self.edges.select("src", "dst").toPandas()
-        return RefGraph(dict(zip(idx.ids.tolist(), idx.weights.tolist())), e.to_numpy(np.int64))
+        head = self.index.head(self.r_for_tau(tau))
+        e = self.edges.filter(F.col("w_min") >= tau).select("src", "dst").toPandas()
+        return RefGraph(dict(zip(head.ids.tolist(), head.weights.tolist())), e.to_numpy(np.int64))

@@ -7,6 +7,7 @@ at 0, on its distributed route.
 """
 from contextlib import contextmanager
 
+import numpy as np
 import pandas as pd
 import pytest
 
@@ -229,6 +230,50 @@ class TestProgressiveSpark(ProgressiveChecks):
         assert list(local_search_progressive_spark(empty, gamma=2)) == []
 
 
+@pytest.fixture(scope="module")
+def glayout(spark):
+    ref = random_ref_graph(120, 420)
+    return ref, ref_to_spark(spark, ref)
+
+
+class TestEdgeFrameLayout:
+    """``SparkGraph.edges`` is the prefix index's §3.1 edge layout, row for
+    row, built with no join and no shuffle."""
+
+    @pytest.fixture(params=["fig3", "random"])
+    def graph(self, request, g3, glayout):
+        return g3 if request.param == "fig3" else glayout
+
+    def test_rows_follow_the_layout(self, graph):
+        ref, sg = graph
+        rows = sg.edges.toPandas()
+        src, dst, w_min = (rows[c].to_numpy() for c in ("src", "dst", "w_min"))
+        lower, upper = sg.index.edge_ends()
+        assert (src < dst).all()
+        assert (src == np.minimum(lower, upper)).all() and (dst == np.maximum(lower, upper)).all()
+        assert (w_min == np.repeat(sg.index.weights, sg.index.up_degree)).all()
+        assert (np.diff(w_min) <= 0).all()
+        assert w_min.tolist() == [min(ref.weight[a], ref.weight[b]) for a, b in zip(src, dst)]
+        assert sorted(zip(src.tolist(), dst.tolist())) == ref.edge_list()
+        assert list(rows.columns) == ["src", "dst", "w_min"]
+
+    def test_every_suffix_is_a_prefix_of_rows(self, graph):
+        ref, sg = graph
+        rows = sg.edges.toPandas()
+        edges = list(zip(rows["src"].tolist(), rows["dst"].tolist()))
+        w = ref.weight
+        for tau in sorted(w.values()):
+            m = sg.size_at_tau(tau) - sg.r_for_tau(tau)
+            assert sorted(edges[:m]) == [e for e in ref.edge_list() if min(w[e[0]], w[e[1]]) >= tau]
+
+    def test_plan_has_no_exchange_or_join(self, graph):
+        _, sg = graph
+        for df in (sg.edges, sg.edges.filter("w_min >= 12.0"), sg.vertices):
+            plan = df._jdf.queryExecution().executedPlan().toString()
+            assert "InMemoryTableScan" in plan
+            assert "Exchange" not in plan and "Join" not in plan, plan
+
+
 class TestGraphContract:
     """``SparkGraph.from_pandas`` holds ``RefGraph``'s graph contract."""
 
@@ -251,6 +296,24 @@ class TestGraphContract:
         assert local_search_spark(sg, k=5, gamma=2).communities == want
         assert list(local_search_progressive_spark(sg, gamma=2)) == want
         assert sg.counts() == (6, 5)
+        # The layout: each edge under its lower-weight endpoint, by rank,
+        # and within it by decreasing weight of the other endpoint.
+        assert list(sg.edges.toPandas().itertuples(index=False, name=None)) == [
+            (1, 2, 5.0), (2, 3, 4.0), (4, 5, 2.0), (4, 6, 1.0), (5, 6, 1.0),
+        ]
+
+    @pytest.mark.parametrize("stage_route", [DRIVER, SURVIVAL])
+    def test_isolated_vertices_only(self, spark, stage_route):
+        sg = SparkGraph.from_pandas(spark, *self.frames([]))
+        ref = RefGraph(self.WEIGHTS, [])
+        assert sg.counts() == (6, 0)
+        with on_route(stage_route):
+            for gamma in (1, 2):
+                want = local_search(ref, 3, gamma)
+                got = local_search_spark(sg, k=3, gamma=gamma)
+                assert got.communities == want.communities == []
+                assert trace(got.stages) == trace(want.stages)
+                assert list(local_search_progressive_spark(sg, gamma=gamma)) == []
 
     @pytest.mark.parametrize(
         "edges, message",

@@ -201,9 +201,3 @@ class TestTriangles:
         )
         sg = SparkGraph.from_pandas(spark, vp, ep)
         assert triangle_count(sg.edges) == 4
-
-
-class TestHalfEdges:
-    def test_half_edge_count(self, g3):
-        ref, sg, _, _ = g3
-        assert sg.half_edges().count() == 2 * ref.n_edges
