@@ -5,15 +5,15 @@ paper's local search removes. Mapped to the substrate:
 
 * the full-graph peel (OnlineAll's subroutines 1+3 / Forward's first pass)
   is the survival-threshold fixed point over *all* of G;
-* OnlineAll then extracts the connected component of **every** keynode
-  (its slow subroutine 2) — a fresh BFS per community over the T-filtered
-  vertex set, faithful to its per-iteration component computation;
-* Forward extracts components only for the top-k keynodes.
+* OnlineAll then extracts the community of **every** keynode (its
+  subroutine 2);
+* Forward extracts communities only for the top-k keynodes.
 
-Component extraction happens driver-side on the collected labelling (the
-per-keynode BFS order is inherently sequential); the distributed cost —
-which scales with size(G), not size(G≥τ*) — is the full-graph fixed point
-both algorithms share.
+Communities are built driver-side on the collected labelling, by one
+activation pass of the shared disjoint-set builder
+(``repro.core.enum_ic._components_pandas``); the distributed cost — which
+scales with size(G), not size(G≥τ*) — is the full-graph fixed point both
+algorithms share.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ def _full_labelling(sg: SparkGraph, gamma: int):
 def online_all_spark(sg: SparkGraph, gamma: int, k: int) -> List[Community]:
     """OnlineAll: full-graph peel + a component extraction per keynode."""
     lpdf, epdf, keys = _full_labelling(sg, gamma)
-    all_comms = _components_pandas(lpdf, epdf, keys)  # every community (slow)
+    all_comms = _components_pandas(lpdf, epdf, keys)  # every community
     return all_comms[:k]
 
 

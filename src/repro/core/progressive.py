@@ -20,10 +20,11 @@ two routes by ``repro.core.local_search.spark_stage``:
   Per-stage Spark work is one collect; a stage's supersteps would cost a
   few dozen jobs, which dominate the latency on subgraphs of a few hundred
   rows.
-* **survival** — otherwise, the survival fixed point on ``G≥τ_i``, then a
-  suffix BFS per new keynode (``_components_pandas``) over the vertices
-  with ``T`` ≥ the lowest new keynode's weight and the edges between them,
-  the only rows collected. Since sizes only grow, once a stage takes this
+* **survival** — otherwise, the survival fixed point on ``G≥τ_i``, then
+  the new keynodes' communities from one activation pass of the same
+  disjoint-set builder (``_components_pandas``) over the vertices with
+  ``T`` ≥ the lowest new keynode's weight and the edges between them, the
+  only rows collected. Since sizes only grow, once a stage takes this
   route every later stage does too.
 """
 from __future__ import annotations
@@ -35,7 +36,8 @@ from pyspark.sql import functions as F
 from repro.graphs.storage import SparkGraph
 from repro.kernels.survival import survival_threshold
 from repro.ref.local_search import Stage, growth
-from repro.ref.progressive import _CommunityDSU, progressive, progressive_stage
+from repro.ref.enum_ic import _CommunityDSU
+from repro.ref.progressive import progressive, progressive_stage
 
 from .enum_ic import Community, _components_pandas, collect_live
 from .local_search import SURVIVAL, spark_stage

@@ -1,10 +1,17 @@
-"""Exact sequential EnumIC (Algorithm 3).
+"""Exact sequential EnumIC (Algorithm 3) and the community builder every
+engine shares.
 
-Given the ``keys``/``cvs`` sequences produced by CountIC, extracts the top-k
-influential γ-communities with a disjoint-set structure in O(size(g)) time
-(plus output materialization). The recursive structure of Lemma 3.6 —
-``IC(u) = gp(u) ∪ ⋃_{child} IC(child)`` — is kept as explicit child links
-(``Ch``), and vertex sets are only materialized on demand.
+:class:`_CommunityDSU` is EnumIC-P's disjoint set (§4), and every
+community in the repository is built with it: vertices are *activated* in
+decreasing ``T`` — a cvs band at a time, keynode first, in decreasing
+keynode weight — and each unions with its already-active neighbours. When
+keynode ``u``'s band is active, ``IC(u)`` is the set of ``u``: the vertices
+with ``T ≥ ω(u)`` reachable from ``u``, exactly γ-core(G≥ω(u))'s
+component. Member lists merge small-to-large, so building every community
+of a run costs O(m + n log n). :func:`enum_ic` (EnumIC) activates a peel's
+last k bands; LocalSearch-P (``ref.progressive``) keeps one set across
+stages; OnlineAll-SE (``repro.semi_external``) and the Spark survival route
+(``repro.core.enum_ic``) feed it from a survival labelling.
 
 :func:`ic_brute` is the independent oracle: the community of keynode ``u`` is
 the connected component containing ``u`` of the *suffix* of ``cvs`` starting
@@ -12,7 +19,8 @@ at ``u`` (equivalently, of γ-core(G≥ω(u))).
 """
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from dataclasses import replace
+from typing import Dict, FrozenSet, Iterator, List, Tuple
 
 from .count_ic import PeelResult, count_ic, gamma_core_set
 from .graph import RefGraph
@@ -20,88 +28,68 @@ from .graph import RefGraph
 Community = Tuple[float, FrozenSet[int]]  # (influence value, vertex set)
 
 
-class _DSU:
-    """Union-find with path compression + union by attaching to the new key.
-
-    ``Union(w, u)`` in Algorithm 3 merges the community containing ``w`` into
-    the (smaller-weight) keynode ``u`` currently being processed, so the
-    representative must become ``u``'s set — we attach the root of ``w`` under
-    the root of ``u`` (no union-by-rank, the direction is semantic).
-    """
+class _CommunityDSU:
+    """Union-find over activated vertex ids with small-to-large member-list
+    merging."""
 
     def __init__(self):
         self.parent: Dict[int, int] = {}
+        self.members: Dict[int, List[int]] = {}
 
     def add(self, v: int) -> None:
-        self.parent.setdefault(v, v)
+        self.parent[v] = v
+        self.members[v] = [v]
 
     def find(self, v: int) -> int:
-        root = v
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[v] != root:
-            self.parent[v], v = root, self.parent[v]
-        return root
+        r = v
+        while self.parent[r] != r:
+            r = self.parent[r]
+        while self.parent[v] != r:
+            self.parent[v], v = r, self.parent[v]
+        return r
 
-    def union_into(self, w: int, u: int) -> None:
-        rw, ru = self.find(w), self.find(u)
-        if rw != ru:
-            self.parent[rw] = ru
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return
+        if len(self.members[ra]) < len(self.members[rb]):
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.members[ra].extend(self.members.pop(rb))
+
+    def community(self, u: int) -> FrozenSet[int]:
+        """The active vertices connected to ``u``."""
+        return frozenset(self.members[self.find(u)])
+
+    def stream(self, g: RefGraph, peel: PeelResult) -> Iterator[Community]:
+        """Activate a peel's cvs bands (keynode first) in decreasing keynode
+        weight, the reverse of the order they arrive in, each unioned with
+        its already-active neighbors (read from the peel's CSR); yield each
+        keynode's community once its band is active."""
+        indptr, nbrs = peel.csr
+        ids, parent, union = peel.ids, self.parent, self.union
+        for band in reversed(peel.bands):
+            for v in band:
+                a = ids[v]
+                self.add(a)
+                for x in nbrs[indptr[v] : indptr[v + 1]]:
+                    if ids[x] in parent:  # already activated ⇒ band ≥ ω(u)
+                        union(a, ids[x])
+            u = ids[band[0]]
+            yield g.weight[u], self.community(u)
 
 
 def enum_ic(g: RefGraph, peel: PeelResult, k: int) -> List[Community]:
     """Top-k communities from ``keys``/``cvs``, highest influence first.
 
-    Mirrors Algorithm 3 in the peel's rank space: processes the last ``k``
-    keynodes in decreasing weight order, takes gp(u) from its cvs band,
-    discovers child communities through neighbors (read from the peel's
-    CSR) already assigned to a key (``v2key`` = DSU + root→key map), and
-    links them in ``Ch(u)``. ``k ≤ 0`` asks for nothing; ``None`` for all.
+    Algorithm 3 on the shared builder: a fresh :class:`_CommunityDSU`
+    activates the peel's last ``k`` bands, which hold every vertex with
+    ``T`` ≥ the k-th keynode's weight. ``k ≤ 0`` asks for nothing;
+    ``None`` for all.
     """
-    bands = peel.bands if k is None else peel.bands[max(len(peel.bands) - k, 0):]
-    if not bands:
-        return []
-    indptr, nbrs = peel.csr
-    dsu = _DSU()
-    root_key: Dict[int, int] = {}  # DSU root -> keynode it currently represents
-    gp: Dict[int, List[int]] = {}
-    ch: Dict[int, List[int]] = {}
-    for band in reversed(bands):  # decreasing weight order
-        u = band[0]
-        gp[u] = band
-        ch[u] = []
-        for v in band:
-            dsu.add(v)
-        for v in band:
-            dsu.union_into(v, u)
-        root_key[dsu.find(u)] = u
-        for v in band:
-            for w in nbrs[indptr[v] : indptr[v + 1]]:
-                if w not in dsu.parent:
-                    continue  # v2key(w) = null — not yet assigned
-                rw = dsu.find(w)
-                kw = root_key.get(rw)
-                if kw is not None and kw != u:
-                    ch[u].append(kw)
-                    dsu.union_into(w, u)
-                    root_key.pop(rw, None)
-                    root_key[dsu.find(u)] = u
-    # Materialize IC(u) = gp(u) ∪ ⋃ IC(child); children have higher weight.
-    memo: Dict[int, Set[int]] = {}
-
-    def materialize(u: int) -> Set[int]:
-        if u not in memo:
-            s = set(gp[u])
-            for c in ch[u]:
-                s |= materialize(c)
-            memo[u] = s
-        return memo[u]
-
-    ids = peel.ids
-    return [
-        (g.weight[ids[band[0]]], frozenset(ids[v] for v in materialize(band[0])))
-        for band in reversed(bands)
-    ]
+    if k is not None:
+        peel = replace(peel, bands=peel.bands[max(len(peel.bands) - k, 0) :])
+    return list(_CommunityDSU().stream(g, peel))
 
 
 def top_k_via_count(g: RefGraph, k: int, gamma: int) -> List[Community]:

@@ -284,11 +284,6 @@ class RefGraph(PrefixLookups):
         start = int(idx.cum_size[i - 1]) - i if i else 0
         return idx.ids[idx.nbr[start : int(idx.cum_size[i]) - i - 1]].tolist()
 
-    def degree(self, u: int) -> int:
-        indptr = self.csr[0]
-        i = self.rank[u]
-        return indptr[i + 1] - indptr[i]
-
     # -------------------------------------------------------------- subgraphs
     def subgraph_top(self, r: int) -> "RefGraph":
         """Induced subgraph of the top-``r`` vertices: the layout's prefix."""

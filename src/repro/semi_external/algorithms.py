@@ -34,13 +34,12 @@ work proportional to size(G) — versus LocalSearch-SE's prefix-only reads.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.ref.count_ic import count_ic
-from repro.ref.enum_ic import Community, enum_ic
+from repro.ref.enum_ic import Community, _CommunityDSU, enum_ic
 from repro.ref.graph import NEG_INF, RefGraph
 from repro.ref.local_search import Stage, grow_top_k, growth
 
@@ -82,29 +81,6 @@ def local_search_se(
 # OnlineAll-SE
 # --------------------------------------------------------------------------
 
-@dataclass
-class _DSU:
-    parent: Dict[int, int]
-    members: Dict[int, List[int]]
-
-    def find(self, v: int) -> int:
-        r = v
-        while self.parent[r] != r:
-            r = self.parent[r]
-        while self.parent[v] != r:
-            self.parent[v], v = r, self.parent[v]
-        return r
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if len(self.members[ra]) < len(self.members[rb]):
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.members[ra].extend(self.members.pop(rb))
-
-
 def _streaming_T(
     store: EdgeBlockStore, weights: np.ndarray, gamma: int, max_iter: int = 10_000
 ) -> np.ndarray:
@@ -143,16 +119,16 @@ def online_all_se(
     """All communities in decreasing influence order (top-``k`` if given)."""
     vp = store.vertices().sort_by("id")
     ids = vp["id"].to_numpy()
-    assert np.array_equal(ids, np.arange(len(ids))), "contiguous ids expected"
+    if not np.array_equal(ids, np.arange(len(ids))):
+        raise ValueError("OnlineAll-SE needs vertex ids 0..n-1")
     weights = vp["weight"].to_numpy().astype(float)
     T = _streaming_T(store, weights, gamma)
     key_mask = T == weights
     key_order = np.argsort(-weights[key_mask])
     keys = np.flatnonzero(key_mask)[key_order]  # decreasing weight
-    dsu = _DSU(
-        parent={int(v): int(v) for v in np.flatnonzero(T > NEG_INF)},
-        members={int(v): [int(v)] for v in np.flatnonzero(T > NEG_INF)},
-    )
+    dsu = _CommunityDSU()
+    for v in np.flatnonzero(T > NEG_INF).tolist():
+        dsu.add(v)
     pending: Dict[float, List[Tuple[int, int]]] = {}
     out: List[Community] = []
     ki = 0
@@ -173,7 +149,7 @@ def online_all_se(
         while ki < len(keys) and weights[keys[ki]] > frontier:
             u = int(keys[ki])
             settle_down_to(weights[u])
-            out.append((float(weights[u]), frozenset(dsu.members[dsu.find(u)])))
+            out.append((float(weights[u]), dsu.community(u)))
             ki += 1
 
     for blk in store.scan():

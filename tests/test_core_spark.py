@@ -403,7 +403,10 @@ class TestNonContainmentSparkSurvival(NonContainmentChecks):
 
     def test_collects_only_live_rows(self, g3, monkeypatch):
         ref, sg = g3
-        got = record_calls(monkeypatch, core_nc, "_nc_analysis")
+        got, collect = [], core_nc.collect_live
+        monkeypatch.setattr(
+            core_nc, "collect_live", lambda *args: got.append(collect(*args)) or got[-1]
+        )
         res = top_k_noncontainment_spark(sg, k=2, gamma=3)
         assert [s.tau for s in res.stages] == [17.0, 11.0]
         for (labels, edges), st in zip(got, res.stages, strict=True):

@@ -5,9 +5,11 @@ pair that must agree (peel vs suffix-core brute force, local vs global
 search, progressive vs batch, …) is checked for equality of results.
 """
 import hypothesis.strategies as st
+import pandas as pd
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
+from repro.core.enum_ic import _components_pandas
 from repro.ref.baselines import backward_arith, forward, local_search_oa, online_all
 from repro.ref.count_ic import count_ic, gamma_core_set, keynodes_brute, survival_threshold_brute
 from repro.ref.enum_ic import all_communities_brute, enum_ic, ic_brute, top_k_via_count
@@ -124,6 +126,31 @@ def test_enum_matches_brute_components(g, gamma, k):
         (g.weight[u], ic_brute(g, gamma, u)) for u in reversed(peel.keys[-k:])
     ]
     assert got == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=random_graph(), gamma=GAMMAS, data=st.data())
+def test_survival_route_components_match_brute(g, gamma, data):
+    """The survival route's builder on a window of keynodes (decreasing
+    weight), given the labels with T ≥ the lowest key's weight and the edges
+    between them, returns each key's community."""
+    T = survival_threshold_brute(g, gamma)
+    keys = sorted((v for v in g.weight if T[v] == g.weight[v]), key=g.weight.get, reverse=True)
+    assume(keys)
+    lo = data.draw(st.integers(0, len(keys) - 1))
+    window = keys[lo : data.draw(st.integers(lo + 1, len(keys)))]
+    lowest = g.weight[window[-1]]
+    live = [v for v in g.weight if T[v] >= lowest]
+    labels = pd.DataFrame(
+        {"id": live, "weight": [g.weight[v] for v in live], "T": [T[v] for v in live]}
+    )
+    edges = pd.DataFrame(
+        [(a, b) for a, b in g.edge_list() if min(T[a], T[b]) >= lowest],
+        columns=["src", "dst"],
+        dtype="int64",
+    )
+    got = _components_pandas(labels, edges, [(u, g.weight[u]) for u in window])
+    assert got == [(g.weight[u], ic_brute(g, gamma, u)) for u in window]
 
 
 @settings(max_examples=40, deadline=None)

@@ -166,6 +166,18 @@ class TestOnlineAllSE:
             comms, _ = online_all_se(store, gamma=2)
             assert comms == all_communities_brute(g, 2)
 
+    def test_offset_ids_are_rejected(self, tmp_path):
+        """Its per-vertex arrays are indexed by raw id, so ids that are not
+        0..n-1 must raise, also under ``python -O``."""
+        g = random_ref_graph(30, 80, seed=4)
+        shifted = RefGraph(
+            {v + 1000: w for v, w in g.weight.items()},
+            [(a + 1000, b + 1000) for a, b in g.edge_list()],
+        )
+        store = EdgeBlockStore.write(str(tmp_path / "offset"), shifted, block_edges=16)
+        with pytest.raises(ValueError, match="vertex ids 0..n-1"):
+            online_all_se(store, gamma=2)
+
 
 class TestCostShape:
     def test_ls_se_reads_and_memory_below_oa_se(self, tmp_path):
