@@ -22,7 +22,8 @@ _H_EXPR = (
 
 
 def coreness(vertices: DataFrame, edges: DataFrame, max_iter: int = 10_000) -> DataFrame:
-    """``(id, core)`` — the core number of every vertex."""
+    """``(id, core)`` — the core number of every vertex. Raises
+    ``RuntimeError`` if ``max_iter`` rounds end before a fixed point."""
     half = edges.select(
         F.col("src").alias("u"), F.col("dst").alias("v")
     ).unionAll(edges.select(F.col("dst").alias("u"), F.col("src").alias("v")))
@@ -49,6 +50,9 @@ def coreness(vertices: DataFrame, edges: DataFrame, max_iter: int = 10_000) -> D
         labels = iterate_checkpoint(new_labels.select("id", "core"))
         if changed == 0:
             break
+    else:
+        half.unpersist()
+        raise RuntimeError(f"coreness did not converge in {max_iter} rounds")
     half.unpersist()
     return labels
 

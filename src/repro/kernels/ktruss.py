@@ -17,7 +17,8 @@ from .triangles import edge_support
 
 
 def gamma_truss(edges: DataFrame, gamma: int, max_iter: int = 10_000) -> DataFrame:
-    """Surviving canonical edges ``(a, b)`` of the γ-truss."""
+    """Surviving canonical edges ``(a, b)`` of the γ-truss. Raises
+    ``RuntimeError`` if ``max_iter`` rounds end before a fixed point."""
     if gamma < 2:
         raise ValueError("truss gamma must be >= 2")
     e = iterate_checkpoint(
@@ -38,6 +39,9 @@ def gamma_truss(edges: DataFrame, gamma: int, max_iter: int = 10_000) -> DataFra
             break
         e = iterate_checkpoint(keep)
         m = m_new
+    else:
+        if m:
+            raise RuntimeError(f"γ-truss did not converge in {max_iter} rounds")
     return e.select(F.col("src").alias("a"), F.col("dst").alias("b"))
 
 

@@ -54,7 +54,8 @@ def survival_threshold(
     """Fixed point of ``T(u) = min(ω(u), γ-th largest neighbor T)``.
 
     ``vertices``: (id, weight); ``edges``: canonical rows with src/dst.
-    Vertices in no suffix γ-core end with ``T = −∞``.
+    Vertices in no suffix γ-core end with ``T = −∞``. Raises
+    ``RuntimeError`` if ``max_iter`` supersteps end before a fixed point.
     """
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
@@ -93,6 +94,9 @@ def survival_threshold(
         )
         if changed == 0:
             break
+    else:
+        half.unpersist()
+        raise RuntimeError(f"survival threshold did not converge in {max_iter} supersteps")
     half.unpersist()
     return SurvivalResult(labels=labels, iterations=it)
 

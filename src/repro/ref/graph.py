@@ -31,6 +31,14 @@ on first use. ``EdgeBlockStore.write`` (``repro.semi_external.storage``)
 writes its blocks straight from the layout. It is the substrate for the
 exact sequential algorithms in ``repro.ref``.
 
+The contract is checked once, at ingest: ``RefGraph(weights, edges)`` runs
+:func:`check_graph` inside :meth:`PrefixIndex.build`. A slice of a checked
+layout is trusted: ``RefGraph(index=…)`` builds a graph from a
+:class:`PrefixIndex` with its layout, with no check and no sort.
+``subgraph_top`` builds from ``index.head(r)``, and each LocalSearch-SE
+stage from the blocks it read back (:meth:`PrefixIndex.with_edges`, which
+checks only that the rows are the index's layout).
+
 Weights must be pairwise distinct (paper §2 assumption).
 """
 from __future__ import annotations
@@ -39,8 +47,15 @@ from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
+import pandas as pd
 
 NEG_INF = float("-inf")
+
+
+def positions(ids: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The position of every value in ``ids`` (pairwise distinct), −1 where
+    it is not there: one hash lookup, whatever values the ids take."""
+    return pd.Index(ids).get_indexer(values)
 
 
 def check_graph(
@@ -52,29 +67,20 @@ def check_graph(
     Repeated vertex ids, tied weights, self-loops and edges to unknown
     vertices raise ``ValueError``, and so do duplicate edges (in either
     orientation) unless ``reject_duplicates`` is off. An edge error names
-    the first offending edge in input order.
+    the first offending edge in input order. The endpoints are found by
+    one :func:`positions` lookup over the ids.
     """
     ids = np.asarray(ids, dtype=np.int64)
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
-    by_id = np.argsort(ids, kind="stable")
-    sorted_ids = ids[by_id]
-    repeats = by_id[1:][sorted_ids[1:] == sorted_ids[:-1]]
-    if len(repeats):
-        raise ValueError(f"duplicate vertex id {ids[repeats.min()]}")
+    repeated = pd.Index(ids).duplicated()
+    if repeated.any():
+        raise ValueError(f"duplicate vertex id {ids[repeated.argmax()]}")
     if len(np.unique(np.asarray(weights, dtype=np.float64))) != len(ids):
         raise ValueError("vertex weights must be pairwise distinct (paper §2)")
-
-    def position(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        if not len(ids):
-            return np.zeros(len(v), dtype=np.int64), np.zeros(len(v), dtype=bool)
-        p = np.minimum(np.searchsorted(sorted_ids, v), len(ids) - 1)
-        return by_id[p], sorted_ids[p] == v
-
-    at_src, src_known = position(src)
-    at_dst, dst_known = position(dst)
+    at_src, at_dst = np.split(positions(ids, np.concatenate((src, dst))), [len(src)])
     loop = src == dst
-    unknown = ~(src_known & dst_known)
+    unknown = (at_src < 0) | (at_dst < 0)
     bad = loop | unknown
     duplicate = np.zeros(len(src), dtype=bool)
     if reject_duplicates and len(src):
@@ -196,6 +202,32 @@ class PrefixIndex:
             nbr = self.nbr[: int(self.cum_size[r - 1]) - r if r > 0 else 0]
         return PrefixIndex(self.ids[:r], self.weights[:r], self.cum_size[:r], nbr)
 
+    def with_edges(self, src, dst) -> "PrefixIndex":
+        """This index with its edge layout given as id rows, e.g. as read
+        back from a store: row ``j`` joins the vertex of its layout group,
+        ``np.repeat(ids, up_degree)[j]``, to the other endpoint, in either
+        column. The rows are trusted to hold the graph contract, as the
+        layout they were written from did; only a cheap check that they
+        are this index's layout runs. It raises ``ValueError`` when the
+        row count is not the index's edge count, a row does not hold its
+        group's vertex, or the other endpoints of a group are not
+        higher-ranked vertices of this index in ascending rank."""
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        up = self.up_degree
+        if len(src) != len(dst) or len(src) != int(up.sum()):
+            raise ValueError("edge rows do not match the vertex table")
+        low_rank = np.repeat(np.arange(self.n), up)
+        lower = self.ids[low_rank]
+        nbr = positions(self.ids, src + dst - lower)
+        if not (
+            ((src == lower) | (dst == lower)).all()
+            and ((nbr >= 0) & (nbr < low_rank)).all()
+            and (np.diff(low_rank * self.n + nbr) > 0).all()  # layout order
+        ):
+            raise ValueError("edge rows do not match the vertex table")
+        return PrefixIndex(self.ids, self.weights, self.cum_size, nbr)
+
     def csr(self) -> Tuple[List[int], List[int]]:
         """The graph's adjacency in rank space, both halves of every layout
         row: the neighbour ranks of rank ``i`` are
@@ -222,14 +254,32 @@ class RefGraph(PrefixLookups):
         Undirected edges ``(u, v)``: an ``(m, 2)`` integer array or an
         iterable of pairs; duplicates (in either orientation) and self-loops
         are rejected.
+    index:
+        Instead of ``weights`` and ``edges``: a :class:`PrefixIndex` with
+        its edge layout, trusted to hold the contract. The graph is built
+        from it with no check and no sort. This is the constructor for a
+        slice of a layout that was checked once, at ingest:
+        ``subgraph_top`` (``index.head(r)``) and the semi-external stages
+        (``PrefixIndex.with_edges`` over the blocks read back).
 
     ``index`` holds the prefix index and the §3.1 edge layout, and is all
     that construction builds. ``order``, ``csr``, ``adj`` and the ``N≥``
     lists are read off it on first use.
     """
 
-    def __init__(self, weights: Dict[int, float], edges: Iterable[Tuple[int, int]]):
-        self.weight: Dict[int, float] = dict(weights)
+    def __init__(
+        self,
+        weights: Optional[Dict[int, float]] = None,
+        edges: Iterable[Tuple[int, int]] = (),
+        *,
+        index: Optional[PrefixIndex] = None,
+    ):
+        if index is not None:
+            self.index = index
+            self.weight: Dict[int, float] = dict(zip(index.ids.tolist(), index.weights.tolist()))
+            self.n_edges = len(index.nbr)
+            return
+        self.weight = dict(weights)
         n = len(self.weight)
         if not isinstance(edges, np.ndarray):
             edges = list(edges)
@@ -287,9 +337,7 @@ class RefGraph(PrefixLookups):
     # -------------------------------------------------------------- subgraphs
     def subgraph_top(self, r: int) -> "RefGraph":
         """Induced subgraph of the top-``r`` vertices: the layout's prefix."""
-        head = self.index.head(max(r, 0))
-        w = dict(zip(head.ids.tolist(), head.weights.tolist()))
-        return RefGraph(w, np.column_stack(head.edge_ends()))
+        return RefGraph(index=self.index.head(max(r, 0)))
 
     def subgraph_ge(self, tau: float) -> "RefGraph":
         """``G≥τ`` (subgraph induced by vertices of weight ≥ τ)."""

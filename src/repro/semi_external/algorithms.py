@@ -8,7 +8,11 @@ prefix-index lookups, which the memory-resident vertex table answers. Edges
 are stored by decreasing ``w_min``, so the edges of ``G≥τ`` are exactly the
 first ``size_at_tau(τ) − r_for_tau(τ)`` of the file: a stage reads blocks
 until that many are in, builds ``G≥τ`` from them and the top
-``r_for_tau(τ)`` vertices, and peels it with CountIC (then EnumIC). Only the
+``r_for_tau(τ)`` vertices, and peels it with CountIC (then EnumIC). The
+rows are ``G≥τ``'s layout, checked when the store was written, so the
+stage graph is ``RefGraph(index=store.index.head(r).with_edges(src, dst))``:
+no contract check and no sort, only a check that the rows fit the vertex
+table (``ValueError`` otherwise). Only the
 prefix of the file covering the accessed subgraph ``G≥τ_h`` is ever read,
 and only those edges are resident — both the I/O and the memory footprint
 inherit the instance-optimal locality.
@@ -56,7 +60,7 @@ def local_search_se(
     """Top-k communities reading only the needed weight-prefix of the file."""
     next_size = growth(delta)
     blocks = (store.read_block(i) for i in range(store.n_blocks))
-    loaded = [np.empty((0, 2), np.int64)]  # the loaded edge prefix, in file order
+    loaded = [(np.empty(0, np.int64), np.empty(0, np.int64))]  # the loaded edge prefix
     n_loaded = 0
 
     def stage(tau: float):
@@ -64,13 +68,14 @@ def local_search_se(
         r = store.r_for_tau(tau)
         m = store.size_at_tau(tau) - r  # |E(G≥τ)|: the first m edges
         while n_loaded < m:
-            blk = next(blocks)
-            loaded.append(np.column_stack((blk["src"].to_numpy(), blk["dst"].to_numpy())))
-            n_loaded += len(loaded[-1])
+            blk = next(blocks, None)
+            if blk is None:
+                break  # the file ends early: ``with_edges`` rejects the rows
+            loaded.append((blk["src"].to_numpy(), blk["dst"].to_numpy()))
+            n_loaded += blk.num_rows
             store.note_resident(n_loaded)
-        top = store.index.head(r)
-        edges = np.concatenate(loaded)[:m]
-        sub = RefGraph(dict(zip(top.ids.tolist(), top.weights.tolist())), edges)
+        src, dst = (np.concatenate(col)[:m] for col in zip(*loaded))
+        sub = RefGraph(index=store.index.head(r).with_edges(src, dst))
         peel = count_ic(sub, gamma)
         return Stage(tau, sub.size, peel.count), lambda k: enum_ic(sub, peel, k)
 
@@ -84,7 +89,8 @@ def local_search_se(
 def _streaming_T(
     store: EdgeBlockStore, weights: np.ndarray, gamma: int, max_iter: int = 10_000
 ) -> np.ndarray:
-    """Survival threshold by full-file-scan fixed-point iterations."""
+    """Survival threshold by full-file-scan fixed-point iterations; raises
+    ``RuntimeError`` if ``max_iter`` scans end before a fixed point."""
     n = len(weights)
     L = weights.copy()
     for _ in range(max_iter):
@@ -110,7 +116,7 @@ def _streaming_T(
         if np.array_equal(newL, L):
             return L
         L = newL
-    return L
+    raise RuntimeError(f"survival threshold did not converge in {max_iter} scans")
 
 
 def online_all_se(

@@ -15,6 +15,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "que
 from tracing import Patches, Tracer  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
+from .spark_helpers import random_ref_graph  # noqa: E402
+
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_trace_patches_apply_and_undo(name):
@@ -30,3 +32,26 @@ def test_se_disk_patch_targets_exist():
 
     for name in ("count_ic", "enum_ic", "RefGraph"):
         assert hasattr(se_alg, name)
+
+
+def test_se_subgraph_span_fires_once_per_stage(tmp_path):
+    """The traced se-disk run replaces ``se_alg.RefGraph`` with a plain
+    function wrapper; ``local_search_se`` must still build every stage's
+    graph through that name, so the ``se.subgraph`` span counts each one."""
+    from repro.ref.local_search import local_search
+    from repro.semi_external.algorithms import local_search_se
+    from repro.semi_external.storage import EdgeBlockStore
+
+    g = random_ref_graph(60, 200, seed=3)
+    store = EdgeBlockStore.write(str(tmp_path / "s"), g, block_edges=16)
+    workload = WORKLOADS["se-disk"]
+    tracer, patches = Tracer(), Patches()
+    workload.trace(workload.__new__(workload), tracer, patches)
+    try:
+        comms, _ = local_search_se(store, 6, 2)
+    finally:
+        patches.undo()
+    want = local_search(g, 6, 2)
+    names = [sp.name for sp in tracer.spans]
+    assert comms == want.communities
+    assert names.count("se.subgraph") == names.count("se.count_ic") == len(want.stages) >= 2

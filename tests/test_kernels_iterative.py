@@ -60,6 +60,26 @@ class TestSurvivalThreshold:
         assert any(t == NEG_INF for t in got.values())
 
 
+class TestUnconvergedRaises:
+    """A fixed point cut off by ``max_iter`` raises; it never returns the
+    labelling it had reached."""
+
+    def test_survival_threshold(self, g3):
+        _, sg = g3
+        with pytest.raises(RuntimeError, match="did not converge in 1 supersteps"):
+            survival_threshold(sg.vertices, sg.edges, 3, max_iter=1)
+
+    def test_gamma_truss(self, g3):
+        _, sg = g3
+        with pytest.raises(RuntimeError, match="did not converge in 1 rounds"):
+            gamma_truss(sg.edges, 4, max_iter=1)
+
+    def test_coreness(self, g3):
+        _, sg = g3
+        with pytest.raises(RuntimeError, match="did not converge in 1 rounds"):
+            coreness(sg.vertices, sg.edges, max_iter=1)
+
+
 class TestCoreness:
     def test_matches_brute(self, grand):
         ref, sg = grand

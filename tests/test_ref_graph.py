@@ -9,7 +9,8 @@ from repro.graphs.storage import canonical_frames
 from repro.ref.cores import core_numbers, gamma_max_ref
 from repro.ref.count_ic import count_ic, gamma_core_set
 from repro.ref.enum_ic import enum_ic
-from repro.ref.graph import RefGraph
+import repro.ref.graph as graph_module
+from repro.ref.graph import PrefixIndex, RefGraph, positions
 
 from .paper_graphs import fig1_graph, fig3_graph
 from .spark_helpers import random_ref_graph
@@ -124,6 +125,90 @@ class TestArrayBuild:
             assert sub.edge_list() == [
                 e for e in g.edge_list() if e[0] in order[:r] and e[1] in order[:r]
             ]
+
+
+@pytest.mark.parametrize("n, m", [(0, 5), (7, 0), (10, 30), (5000, 5000)])
+def test_positions_agree_with_a_dict(n, m):
+    """The hash lookup agrees with a dict, for ids anywhere in int64, values
+    present or not."""
+    rng = np.random.default_rng(n + m)
+    ids = rng.choice(np.arange(-(2**62), 2**62, 2**50), size=n, replace=False)
+    present = ids[rng.integers(0, n, m // 2)] if n else np.empty(0, np.int64)
+    values = np.concatenate((present, rng.integers(-(2**62), 2**62, m - m // 2)))
+    at = {v: i for i, v in enumerate(ids.tolist())}
+    assert positions(ids, values).tolist() == [at.get(v, -1) for v in values.tolist()]
+
+
+class TestTrustedBuild:
+    """``RefGraph(index=…)`` builds a graph from a layout slice with no check
+    and no sort; ``subgraph_top`` and the semi-external stages use it."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(graph=messy_order_graph())
+    def test_subgraph_top_equals_the_checked_build(self, graph):
+        weights, edges = graph
+        g = RefGraph(weights, edges)
+        for r in range(g.n + 1):
+            top = g.order[:r]
+            checked = RefGraph(
+                {v: weights[v] for v in top},
+                [(a, b) for a, b in edges if a in top and b in top],
+            )
+            sub = g.subgraph_top(r)
+            for name in ("ids", "weights", "cum_size", "nbr"):
+                assert getattr(sub.index, name).tolist() == getattr(checked.index, name).tolist()
+            assert sub.weight == checked.weight
+            assert sub.n_edges == checked.n_edges
+            assert sub.edge_list() == checked.edge_list()
+
+    @settings(max_examples=40, deadline=None)
+    @given(graph=messy_order_graph())
+    def test_with_edges_reads_the_layout_back(self, graph):
+        """The layout's id rows, in either column order, give back ``nbr``."""
+        g = RefGraph(*graph)
+        lower, upper = g.index.edge_ends()
+        bare = PrefixIndex(g.index.ids, g.index.weights, g.index.cum_size)
+        for src, dst in ((lower, upper), (upper, lower)):
+            assert bare.with_edges(src, dst).nbr.tolist() == g.index.nbr.tolist()
+
+    def test_with_edges_rejects_rows_of_another_layout(self, g3):
+        bare = PrefixIndex(g3.index.ids, g3.index.weights, g3.index.cum_size)
+        lower, upper = g3.index.edge_ends()
+        swapped = np.arange(len(lower))
+        swapped[[0, -1]] = swapped[[-1, 0]]
+        j = int(np.flatnonzero(lower[1:] == lower[:-1])[0])  # two rows of one group
+        within, repeated = np.arange(len(lower)), np.arange(len(lower))
+        within[[j, j + 1]] = [j + 1, j]
+        repeated[j + 1] = j
+        for src, dst in (
+            (lower[swapped], upper[swapped]),  # rows out of their groups
+            (lower[within], upper[within]),  # a group out of order
+            (lower[repeated], upper[repeated]),  # a duplicate edge
+            (lower[:-1], upper[:-1]),  # a row short
+            (lower, np.where(upper == upper[0], 99, upper)),  # unknown vertex
+            (lower, lower),  # self-loops
+        ):
+            with pytest.raises(ValueError, match="do not match the vertex table"):
+                bare.with_edges(src, dst)
+
+    def test_subgraph_top_runs_no_check(self, g3, monkeypatch):
+        calls = count_checks(monkeypatch)
+        for r in range(g3.n + 1):
+            g3.subgraph_top(r)
+        assert calls == []
+
+
+def count_checks(monkeypatch):
+    """Count the calls of the graph contract (``check_graph``) from here on."""
+    calls = []
+    check_graph = graph_module.check_graph
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return check_graph(*args, **kwargs)
+
+    monkeypatch.setattr(graph_module, "check_graph", counting)
+    return calls
 
 
 class TestOrganization:

@@ -1,10 +1,14 @@
 """Semi-external storage + algorithms (Eval-VI substrate)."""
+import os
+import shutil
+
 import numpy as np
 import pyarrow as pa
 import pytest
 
 import repro.semi_external.algorithms as se_alg
 from repro.graphs.weights import as_ref_graph, build_dataset_pandas
+from repro.ref.count_ic import count_ic, survival_threshold_brute
 from repro.ref.enum_ic import all_communities_brute
 from repro.ref.graph import RefGraph
 from repro.ref.local_search import local_search
@@ -13,6 +17,7 @@ from repro.semi_external.storage import EdgeBlockStore
 
 from .paper_graphs import fig3_graph
 from .spark_helpers import random_ref_graph
+from .test_ref_graph import count_checks
 
 
 @pytest.fixture()
@@ -145,6 +150,71 @@ class TestLocalSearchSEStages:
         _, store = fig3_store
         with pytest.raises(ValueError, match="delta must be > 1"):
             local_search_se(store, 4, 3, delta)
+
+
+#: The (k, γ) shapes of the se-disk benchmark workload, each also as top-1.
+SE_DISK_SHAPES = [(k, gamma) for k0, gamma in ((10, 5), (10, 10), (50, 10), (128, 10), (10, 20))
+                  for k in (k0, 1)]
+
+
+class TestOneCheckPerIngest:
+    """The graph contract is checked once, when the graph is built; the
+    store's blocks and every LocalSearch-SE stage are trusted from then on."""
+
+    def test_build_and_write_check_once(self, tmp_path, monkeypatch):
+        v, e = build_dataset_pandas("email", scale=0.05)
+        calls = count_checks(monkeypatch)
+        g = as_ref_graph(e, v)
+        EdgeBlockStore.write(str(tmp_path / "s"), g, block_edges=64)
+        assert calls == [1]
+
+    def test_local_search_se_runs_no_check(self, tmp_path, monkeypatch):
+        v, e = build_dataset_pandas("email", scale=0.2)
+        g = as_ref_graph(e, v)
+        path = str(tmp_path / "s")
+        EdgeBlockStore.write(path, g, block_edges=256)
+        calls = count_checks(monkeypatch)
+        for k, gamma in SE_DISK_SHAPES:
+            comms, _ = local_search_se(EdgeBlockStore.open(path), k, gamma)
+            assert len(comms) == min(k, count_ic(g, gamma).count)
+        assert calls == []
+
+    @pytest.mark.parametrize("case", ["same vertices", "blocks end early", "other ids"])
+    def test_blocks_of_another_graph_raise(self, tmp_path, case):
+        """A store whose blocks were written from another graph than its
+        vertex table fails the stage's layout check; it never answers."""
+        g = random_ref_graph(60, 200, seed=1)
+        blocks_of, table_of = {
+            "same vertices": (g, RefGraph(g.weight, random_ref_graph(60, 200, seed=2).edge_list())),
+            "blocks end early": (RefGraph(g.weight, g.edge_list()[:150]), g),
+            "other ids": (g, RefGraph(
+                {v + 1000: w for v, w in g.weight.items()},
+                [(a + 1000, b + 1000) for a, b in g.edge_list()],
+            )),
+        }[case]
+        path, donor = str(tmp_path / "blocks"), str(tmp_path / "table")
+        EdgeBlockStore.write(path, blocks_of, block_edges=16)
+        EdgeBlockStore.write(donor, table_of, block_edges=16)
+        shutil.copy(os.path.join(donor, "vertices.parquet"), path)
+        with pytest.raises(ValueError, match="do not match the vertex table"):
+            local_search_se(EdgeBlockStore.open(path), 1000, 2)
+
+
+class TestStreamingT:
+    def path_store(self, tmp_path):
+        g = RefGraph({v: float(v + 1) for v in range(6)}, [(v, v + 1) for v in range(5)])
+        store = EdgeBlockStore.write(str(tmp_path / "path"), g, block_edges=4)
+        return g, store, np.array([g.weight[v] for v in range(6)])
+
+    def test_converges_to_the_survival_threshold(self, tmp_path):
+        g, store, weights = self.path_store(tmp_path)
+        T = se_alg._streaming_T(store, weights, 1)
+        assert dict(enumerate(T.tolist())) == survival_threshold_brute(g, 1)
+
+    def test_max_iter_exhausted_raises(self, tmp_path):
+        _, store, weights = self.path_store(tmp_path)
+        with pytest.raises(RuntimeError, match="did not converge in 1 scans"):
+            se_alg._streaming_T(store, weights, 1, max_iter=1)
 
 
 class TestOnlineAllSE:
