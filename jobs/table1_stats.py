@@ -1,27 +1,18 @@
 """Reproduce Table 1: statistics of the (analog) graphs.
 
-    python jobs/table1_stats.py [--scale 1.0] [--engine ref|spark]
+    python jobs/table1_stats.py [--scale 1.0]
 """
-from _util import base_parser, get_spark
+from _util import base_parser
 
 
 def main() -> None:
-    p = base_parser(__doc__)
-    p.add_argument("--engine", choices=["ref", "spark"], default="ref")
-    args = p.parse_args()
+    args = base_parser(__doc__).parse_args()
     from repro.evalx.datasets import ALL
     from repro.evalx.harness import fmt_rows
-    from repro.evalx.table1 import TABLE1_COLS, table1_ref, table1_spark
+    from repro.evalx.table1 import TABLE1_COLS, table1_ref
 
-    names = args.names or ALL
-    if args.engine == "ref":
-        rows = table1_ref(names, scale=args.scale)
-        print(fmt_rows(rows, TABLE1_COLS, title="Table 1 (ref engine)"))
-    else:
-        spark = get_spark()
-        rows = table1_spark(spark, names, scale=args.scale)
-        cols = ["graph", "n", "m", "d_max", "d_avg", "gamma_max"]
-        print(fmt_rows(rows, cols, title="Table 1 (spark engine)"))
+    rows = table1_ref(args.names or ALL, scale=args.scale)
+    print(fmt_rows(rows, TABLE1_COLS, title="Table 1 (ref engine)"))
 
 
 if __name__ == "__main__":

@@ -1,21 +1,18 @@
 """Table 1 — statistics of the (analog) graphs.
 
 Columns mirror the paper: #vertices, #edges, d_max, d_avg, γmax (the
-largest γ with a non-empty γ-core). Both engines compute the same numbers:
-``table1_ref`` peels on the driver, ``table1_spark`` uses the distributed
-degree and h-index-coreness kernels (validated against each other in
-tests). Paper-side values are carried along for the EXPERIMENTS.md diff.
+largest γ with a non-empty γ-core). The table describes the input graphs;
+no query reads it, so ``table1_ref`` computes it exactly on the driver.
+Paper-side values are carried along for the EXPERIMENTS.md diff.
 """
 from __future__ import annotations
 
 from typing import Dict, List
 
-from pyspark.sql import functions as F
-
 from repro.graphs.generators import DATASETS
 from repro.ref.cores import gamma_max_ref
 
-from .datasets import ref_graph, spark_graph
+from .datasets import ref_graph
 
 
 def table1_ref(names: List[str], scale: float = 1.0) -> List[Dict]:
@@ -38,28 +35,6 @@ def table1_ref(names: List[str], scale: float = 1.0) -> List[Dict]:
                 "paper_d_avg": p.d_avg,
                 "paper_gamma_max": p.gamma_max,
                 "scale": DATASETS[name].scale_note,
-            }
-        )
-    return rows
-
-
-def table1_spark(spark, names: List[str], scale: float = 1.0) -> List[Dict]:
-    from repro.kernels.coreness import gamma_max
-    from repro.kernels.degrees import degrees
-
-    rows = []
-    for name in names:
-        sg = spark_graph(spark, name, scale)
-        n, m = sg.counts()
-        dm = degrees(sg.edges, sg.vertices).agg(F.max("degree")).collect()[0][0]
-        rows.append(
-            {
-                "graph": name,
-                "n": n,
-                "m": m,
-                "d_max": int(dm),
-                "d_avg": round(2 * m / n, 2),
-                "gamma_max": gamma_max(sg.vertices, sg.edges),
             }
         )
     return rows

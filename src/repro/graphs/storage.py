@@ -13,9 +13,9 @@ The paper's two starred assumptions map onto this layout:
   edge layout (each edge charged to its lower-weight endpoint, exactly the
   ``N≥`` half of the split), three columns ``src < dst, w_min`` with
   ``w_min = min(ω(src), ω(dst))``, in layout order, so in non-increasing
-  ``w_min``. The induced subgraph ``G≥τ`` is the Catalyst filter
-  ``w_min ≥ τ`` on edges, and its rows are the frame's first
-  ``size_at_tau(τ) − r_for_tau(τ)``.
+  ``w_min`` (the index's stored rows, ``PrefixIndex.edge_rows``). The
+  induced subgraph ``G≥τ`` is the Catalyst filter ``w_min ≥ τ`` on edges,
+  and its rows are the frame's first ``size_at_tau(τ) − r_for_tau(τ)``.
 
 Both frames are written from the driver's index in one ``createDataFrame``
 each: the weights need no join, and no shuffle builds or reads them.
@@ -87,25 +87,16 @@ class SparkGraph(PrefixLookups):
         """
         vertices, edges = canonical_frames(vertices, edges)
         index = PrefixIndex.build(vertices["id"], vertices["weight"], edges["src"], edges["dst"])
-        lower, upper = index.edge_ends()
+        src, dst, w_min = index.edge_rows()
         v = spark.createDataFrame(
             pd.DataFrame({"id": index.ids, "weight": index.weights}), schema=VERTEX_SCHEMA
         )
         e = spark.createDataFrame(
-            pd.DataFrame({
-                "src": np.minimum(lower, upper),
-                "dst": np.maximum(lower, upper),
-                "w_min": np.repeat(index.weights, index.up_degree),
-            }),
-            schema=EDGE_SCHEMA,
+            pd.DataFrame({"src": src, "dst": dst, "w_min": w_min}), schema=EDGE_SCHEMA
         )
         for df in (v.cache(), e.cache()):
             df.count()
         return SparkGraph(vertices=v, edges=e, index=index)
-
-    # ----------------------------------------------------------- basic info
-    def counts(self) -> Tuple[int, int]:
-        return self.vertices.count(), self.edges.count()
 
     # -------------------------------------------------------- §3.1 machinery
     def subgraph_ge(self, tau: float) -> "SparkGraph":
@@ -139,8 +130,11 @@ class SparkGraph(PrefixLookups):
 
         Its vertices are the prefix index's head, so the one collect is of
         its edges: the filter ``w_min ≥ τ``, which keeps the layout's first
-        ``size_at_tau(τ) − r_for_tau(τ)`` rows.
+        ``size_at_tau(τ) − r_for_tau(τ)`` rows, in layout order. They were
+        checked at ingest, so the stage is built from them as a trusted
+        layout (:meth:`PrefixIndex.with_edges`), with no contract check and
+        no sort.
         """
         head = self.index.head(self.r_for_tau(tau))
         e = self.edges.filter(F.col("w_min") >= tau).select("src", "dst").toPandas()
-        return RefGraph(dict(zip(head.ids.tolist(), head.weights.tolist())), e.to_numpy(np.int64))
+        return RefGraph(index=head.with_edges(e["src"], e["dst"]))

@@ -1,11 +1,11 @@
 """Sequential core decomposition (min-degree peeling).
 
-Used for Table 1's γmax column at benchmark scale (the distributed h-index
-kernel in ``repro.kernels.coreness`` computes the same numbers and is
-validated against this). The O(m) bucket peel of Batagelj & Zaversnik
-("An O(m) Algorithm for Cores Decomposition of Networks", 2003) over the
-graph's rank-space CSR: vertices kept sorted by current degree in one
-array, each degree bucket's start in another.
+Used for Table 1's γmax column at benchmark scale; the tests check it
+against γ-core membership (``ref.count_ic.gamma_core_set``). The O(m)
+bucket peel of Batagelj & Zaversnik ("An O(m) Algorithm for Cores
+Decomposition of Networks", 2003) over the graph's rank-space CSR:
+vertices kept sorted by current degree in one array, each degree bucket's
+start in another.
 """
 from __future__ import annotations
 

@@ -11,7 +11,8 @@ component. Member lists merge small-to-large, so building every community
 of a run costs O(m + n log n). :func:`enum_ic` (EnumIC) activates a peel's
 last k bands; LocalSearch-P (``ref.progressive``) keeps one set across
 stages; OnlineAll-SE (``repro.semi_external``) and the Spark survival route
-(``repro.core.enum_ic``) feed it from a survival labelling.
+(``repro.core.enum_ic``) feed it from a survival labelling; EnumICC
+(``ref.truss``) activates a truss peel's edge groups.
 
 :func:`ic_brute` is the independent oracle: the community of keynode ``u`` is
 the connected component containing ``u`` of the *suffix* of ``cvs`` starting

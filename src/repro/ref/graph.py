@@ -21,23 +21,26 @@ in its own size. The Remark adds that edges are stored by decreasing
   lookups from one;
 * the **edge layout**: the edges grouped by their lower-weight endpoint's
   rank, each group ``N≥(u)`` in decreasing weight. The edges of the top-``r``
-  vertices' subgraph are its first ``prefix_size(r) − r`` rows.
+  vertices' subgraph are its first ``prefix_size(r) − r`` rows. A row is
+  stored as ``src < dst, w_min`` (:meth:`PrefixIndex.edge_rows`).
 
 :class:`RefGraph` is that layout and nothing more at construction: its
 ``N≥`` lists, ``subgraph_top`` and ``edge_list`` are read off it, and the
 both-halves CSR that the peels walk (:meth:`PrefixIndex.csr`, in rank
 space) and the adjacency sets of the read-only callers are derived from it
 on first use. ``EdgeBlockStore.write`` (``repro.semi_external.storage``)
-writes its blocks straight from the layout. It is the substrate for the
-exact sequential algorithms in ``repro.ref``.
+and ``SparkGraph.from_pandas`` (``repro.graphs.storage``) write the stored
+rows straight from the layout. It is the substrate for the exact
+sequential algorithms in ``repro.ref``.
 
 The contract is checked once, at ingest: ``RefGraph(weights, edges)`` runs
 :func:`check_graph` inside :meth:`PrefixIndex.build`. A slice of a checked
 layout is trusted: ``RefGraph(index=…)`` builds a graph from a
 :class:`PrefixIndex` with its layout, with no check and no sort.
 ``subgraph_top`` builds from ``index.head(r)``, and each LocalSearch-SE
-stage from the blocks it read back (:meth:`PrefixIndex.with_edges`, which
-checks only that the rows are the index's layout).
+stage and Spark driver stage from the rows it read back
+(:meth:`PrefixIndex.with_edges`, which checks only that the rows are the
+index's layout).
 
 Weights must be pairwise distinct (paper §2 assumption).
 """
@@ -194,6 +197,18 @@ class PrefixIndex:
         and higher-weight endpoint of every row."""
         return np.repeat(self.ids, self.up_degree), self.ids[self.nbr]
 
+    def edge_rows(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The layout as stored rows ``(src, dst, w_min)``, in layout order:
+        the ends of every row as ``src < dst``, and the weight of its lower-
+        weight endpoint, so ``w_min`` is non-increasing. Spark's edge frame
+        and the semi-external blocks store these rows."""
+        lower, upper = self.edge_ends()
+        return (
+            np.minimum(lower, upper),
+            np.maximum(lower, upper),
+            np.repeat(self.weights, self.up_degree),
+        )
+
     def head(self, r: int) -> "PrefixIndex":
         """The index of the subgraph induced by the top-``r`` vertices."""
         r = min(r, self.n)
@@ -259,8 +274,8 @@ class RefGraph(PrefixLookups):
         its edge layout, trusted to hold the contract. The graph is built
         from it with no check and no sort. This is the constructor for a
         slice of a layout that was checked once, at ingest:
-        ``subgraph_top`` (``index.head(r)``) and the semi-external stages
-        (``PrefixIndex.with_edges`` over the blocks read back).
+        ``subgraph_top`` (``index.head(r)``), and the semi-external and Spark
+        driver stages (``PrefixIndex.with_edges`` over the rows read back).
 
     ``index`` holds the prefix index and the §3.1 edge layout, and is all
     that construction builds. ``order``, ``csr``, ``adj`` and the ``N≥``
@@ -346,10 +361,6 @@ class RefGraph(PrefixLookups):
     # ------------------------------------------------------------ conversions
     def edge_list(self) -> List[Tuple[int, int]]:
         """Canonical (lower-id-first) undirected edge list, sorted."""
-        lower, upper = self.index.edge_ends()
-        a, b = np.minimum(lower, upper), np.maximum(lower, upper)
+        a, b, _ = self.index.edge_rows()
         o = np.lexsort((b, a))
         return list(zip(a[o].tolist(), b[o].tolist()))
-
-    def copy_adj(self) -> Dict[int, Set[int]]:
-        return {u: set(nbrs) for u, nbrs in self.adj.items()}

@@ -12,18 +12,18 @@ Enumeration uses the same band view as the vertex case: an edge removed
 while popping keynode ``u'`` is present in the graph exactly while keynodes
 of weight < ω(u') are popped, so the influential γ-truss community of
 keynode ``u`` is the connected component of ``u`` over edges whose group
-keynode weight is ≥ ω(u).
+keynode weight is ≥ ω(u). EnumICC builds it with EnumIC's disjoint set
+(``ref.enum_ic._CommunityDSU``) from the peel's edge groups alone.
 
 Brute-force oracles recompute the truss of every weight-suffix subgraph.
 """
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .enum_ic import Community
+from .enum_ic import Community, _CommunityDSU
 from .graph import RefGraph
 from .local_search import LocalSearchResult, Stage, grow_top_k, growth
 
@@ -48,24 +48,20 @@ class TrussPeelResult:
 class _TrussPeeler:
     """Mutable γ-truss peel state: supports, cascaded edge removal.
 
-    ``prefix=r`` peels the top-r induced subgraph, materialized in linear
-    time from the N≥ adjacency split (§3.1 ★★), like the core peeler.
+    ``prefix=r`` peels the top-r induced subgraph (``None``: all of ``g``),
+    materialized in linear time from the first rows of the §3.1 edge
+    layout, like the core peeler.
     """
 
     def __init__(self, g: RefGraph, gamma: int, prefix: Optional[int] = None):
         if gamma < 2:
             raise ValueError("truss gamma must be >= 2")
-        self.g = g
         self.gamma = gamma
-        if prefix is None:
-            self.adj: Dict[int, Set[int]] = g.copy_adj()
-        else:
-            keep = g.order[: min(prefix, g.n)]
-            self.adj = {v: set() for v in keep}
-            for u in keep:
-                for v in g.n_ge(u):
-                    self.adj[u].add(v)
-                    self.adj[v].add(u)
+        head = g.index.head(g.n if prefix is None else prefix)
+        self.adj: Dict[int, Set[int]] = {v: set() for v in head.ids.tolist()}
+        for u, v in zip(*(ends.tolist() for ends in head.edge_ends())):
+            self.adj[u].add(v)
+            self.adj[v].add(u)
         self.alive_vertices = set(self.adj)
         self.support: Dict[Edge, int] = {}
         for u in self.adj:
@@ -147,23 +143,23 @@ def count_icc(
 
 def enum_icc(g: RefGraph, peel: TrussPeelResult, k: int) -> List[Community]:
     """Top-k influential γ-truss communities, highest influence first
-    (nothing for ``k ≤ 0``)."""
-    group_w: Dict[Edge, float] = {}
-    for u, grp in zip(peel.keys, peel.edge_groups):
-        for e in grp:
-            group_w[e] = g.weight[u]
+    (nothing for ``k ≤ 0``).
+
+    The last ``k`` edge groups are activated in decreasing keynode weight in
+    a fresh :class:`~repro.ref.enum_ic._CommunityDSU`: each endpoint is
+    added once, the two ends of every edge are unioned, and keynode ``u``'s
+    community is ``u``'s set once its group is active.
+    """
+    dsu = _CommunityDSU()
+    top = slice(max(len(peel.keys) - k, 0), None)
     out: List[Community] = []
-    for u in reversed(peel.keys[max(len(peel.keys) - k, 0):]):
-        tau = g.weight[u]
-        comp = {u}
-        stack = [u]
-        while stack:
-            v = stack.pop()
-            for w in g.adj[v]:
-                if w not in comp and group_w.get(_canon(v, w), -math.inf) >= tau:
-                    comp.add(w)
-                    stack.append(w)
-        out.append((tau, frozenset(comp)))
+    for u, group in zip(reversed(peel.keys[top]), reversed(peel.edge_groups[top])):
+        for a, b in group:
+            for v in (a, b):
+                if v not in dsu.parent:
+                    dsu.add(v)
+            dsu.union(a, b)
+        out.append((g.weight[u], dsu.community(u)))
     return out
 
 

@@ -5,11 +5,12 @@ order** — the weight of an edge being the minimum weight of its endpoints
 (``w_min``) — and stored in fixed-size parquet blocks, so the edges of
 ``G≥τ_{i+1}`` that are not in ``G≥τ_i`` occupy a consecutive run of blocks
 and are loaded sequentially. The blocks are the graph's §3.1 edge layout
-(``PrefixIndex.nbr``, which ``RefGraph`` keeps): ``write`` turns it into
-``src < dst, w_min`` rows with numpy, in layout order — grouped by the
-lower-weight endpoint's rank, each group in decreasing weight of the other
-endpoint — and cuts them into blocks. Vertex-level information is assumed
-memory-resident, as in the paper's semi-external model: ``vertices.parquet``
+(``PrefixIndex.nbr``, which ``RefGraph`` keeps): ``write`` takes its
+``src < dst, w_min`` rows (``PrefixIndex.edge_rows``), in layout order —
+grouped by the lower-weight endpoint's rank, each group in decreasing
+weight of the other endpoint — and cuts them into blocks. Vertex-level
+information is assumed memory-resident, as in the paper's semi-external
+model: ``vertices.parquet``
 is the graph's prefix index (``repro.ref.graph.PrefixIndex``), one row per
 vertex in decreasing weight order with its ``cum_size`` = ``size(G≥weight)``.
 An opened store answers Algorithm 1's lookups from that table, and the
@@ -36,7 +37,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, List, Tuple
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
@@ -78,13 +78,9 @@ class EdgeBlockStore(PrefixLookups):
             pa.table({"id": idx.ids, "weight": idx.weights, "cum_size": idx.cum_size}),
             os.path.join(path, "vertices.parquet"),
         )
-        lower, upper = idx.edge_ends()
-        edges = pa.table({
-            "src": np.minimum(lower, upper),
-            "dst": np.maximum(lower, upper),
-            "w_min": np.repeat(idx.weights, idx.up_degree),
-        })
-        del lower, upper
+        src, dst, w_min = idx.edge_rows()
+        edges = pa.table({"src": src, "dst": dst, "w_min": w_min})
+        del src, dst, w_min
         files = []
         for i in range(0, max(edges.num_rows, 1), block_edges):
             f = os.path.join(path, f"block_{i // block_edges:05d}.parquet")

@@ -38,6 +38,7 @@ from repro.semi_external.storage import EdgeBlockStore
 
 from .paper_graphs import fig3_graph
 from .spark_helpers import random_ref_graph, ref_to_spark
+from .test_ref_graph import count_checks
 
 TOP4 = [
     (18.0, frozenset({3, 11, 12, 20})),
@@ -169,6 +170,21 @@ class TestLocalSearchSpark(LocalSearchChecks):
                 assert got.communities == want.communities == []
                 assert got.stages == want.stages == []
 
+    def test_driver_stages_run_no_check(self, grand, monkeypatch):
+        """Every driver stage is built from the trusted layout: the graph
+        contract, checked at ingest, is not checked again by a query."""
+        ref, sg = grand
+        calls = count_checks(monkeypatch)
+        for spark_search, ref_search in (
+            (local_search_spark, local_search),
+            (local_search_truss_spark, local_search_truss),
+        ):
+            got = spark_search(sg, 3, 3)
+            assert got.communities == ref_search(ref, 3, 3).communities
+            assert len(got.stages) >= 2
+        assert list(local_search_progressive_spark(sg, gamma=3)) == all_communities_brute(ref, 3)
+        assert calls == []
+
 
 def empty_frames():
     return (
@@ -295,7 +311,7 @@ class TestGraphContract:
         assert local_search(ref, 5, 2).communities == want
         assert local_search_spark(sg, k=5, gamma=2).communities == want
         assert list(local_search_progressive_spark(sg, gamma=2)) == want
-        assert sg.counts() == (6, 5)
+        assert (sg.vertices.count(), sg.edges.count()) == (6, 5)
         # The layout: each edge under its lower-weight endpoint, by rank,
         # and within it by decreasing weight of the other endpoint.
         assert list(sg.edges.toPandas().itertuples(index=False, name=None)) == [
@@ -306,7 +322,7 @@ class TestGraphContract:
     def test_isolated_vertices_only(self, spark, stage_route):
         sg = SparkGraph.from_pandas(spark, *self.frames([]))
         ref = RefGraph(self.WEIGHTS, [])
-        assert sg.counts() == (6, 0)
+        assert (sg.vertices.count(), sg.edges.count()) == (6, 0)
         with on_route(stage_route):
             for gamma in (1, 2):
                 want = local_search(ref, 3, gamma)

@@ -1,13 +1,17 @@
-"""Eval harness: Table 1 engines agree; every experiment driver produces
-well-formed rows at test scale; jobs run end-to-end."""
+"""Eval harness: Table 1 equals independent counts; every experiment driver
+produces well-formed rows at test scale; jobs run end-to-end."""
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from repro.evalx import experiments as E
 from repro.evalx.harness import consume_topk, fmt_rows, timed
-from repro.evalx.table1 import table1_ref, table1_spark
+from repro.evalx.table1 import table1_ref
+from repro.graphs.storage import canonical_frames
+from repro.graphs.weights import build_dataset_pandas
+from repro.ref.count_ic import gamma_core_set
 
 SCALE = 0.08
 
@@ -19,11 +23,18 @@ class TestTable1:
         assert r["paper_n"] == 36_692 and r["paper_gamma_max"] == 43
         assert r["n"] > 0 and r["m"] > 0 and r["d_max"] >= r["d_avg"]
 
-    def test_engines_agree(self, spark):
-        ref_rows = table1_ref(["email"], scale=SCALE)
-        spark_rows = table1_spark(spark, ["email"], scale=SCALE)
-        for c in ("n", "m", "d_max", "d_avg", "gamma_max"):
-            assert ref_rows[0][c] == spark_rows[0][c]
+    def test_ref_equals_independent_counts(self):
+        [row] = table1_ref(["email"], scale=SCALE)
+        vertices, edges = canonical_frames(*build_dataset_pandas("email", scale=SCALE))
+        n, m = len(vertices), len(edges)
+        assert (row["n"], row["m"]) == (n, m)
+        ends = np.concatenate((edges["src"].to_numpy(), edges["dst"].to_numpy()))
+        assert row["d_max"] == np.bincount(ends).max()
+        assert row["d_avg"] == round(2 * m / n, 2)
+        weights = dict(zip(vertices["id"].tolist(), vertices["weight"].tolist()))
+        pairs = list(zip(edges["src"].tolist(), edges["dst"].tolist()))
+        assert gamma_core_set(weights, pairs, row["gamma_max"])
+        assert not gamma_core_set(weights, pairs, row["gamma_max"] + 1)
 
 
 class TestHarness:
@@ -105,6 +116,7 @@ class TestJobs:
             ["jobs/table1_stats.py", "--scale", "0.05", "--names", "email"],
             ["jobs/eval2_backward.py", "--scale", "0.05", "--names", "email"],
             ["jobs/eval9_case_study.py"],
+            ["jobs/eval8_truss.py", "--scale", "0.05", "--names", "email"],
         ],
     )
     def test_job_runs(self, cmd):

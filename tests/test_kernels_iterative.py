@@ -1,10 +1,9 @@
 """Iterative Pregel-style kernels vs the exact sequential references."""
 import pytest
 
-from repro.kernels.coreness import coreness, gamma_max
 from repro.kernels.ktruss import gamma_truss, gamma_truss_subgraph
 from repro.kernels.survival import count_keynodes, keynodes, survival_threshold
-from repro.ref.count_ic import count_ic, gamma_core_set, survival_threshold_brute
+from repro.ref.count_ic import count_ic, survival_threshold_brute
 from repro.ref.graph import NEG_INF
 from repro.ref.truss import truss_edges_brute
 
@@ -73,27 +72,6 @@ class TestUnconvergedRaises:
         _, sg = g3
         with pytest.raises(RuntimeError, match="did not converge in 1 rounds"):
             gamma_truss(sg.edges, 4, max_iter=1)
-
-    def test_coreness(self, g3):
-        _, sg = g3
-        with pytest.raises(RuntimeError, match="did not converge in 1 rounds"):
-            coreness(sg.vertices, sg.edges, max_iter=1)
-
-
-class TestCoreness:
-    def test_matches_brute(self, grand):
-        ref, sg = grand
-        got = {r["id"]: r["core"] for r in coreness(sg.vertices, sg.edges).collect()}
-        max_deg = max(len(ref.adj[v]) for v in ref.weight)
-        want = {v: 0 for v in ref.weight}
-        for gamma in range(1, max_deg + 1):
-            for v in gamma_core_set(ref.weight, ref.edge_list(), gamma):
-                want[v] = gamma
-        assert got == want
-
-    def test_gamma_max_fig3(self, g3):
-        ref, sg = g3
-        assert gamma_max(sg.vertices, sg.edges) == 3  # the 4-cliques
 
 
 class TestGammaTruss:

@@ -1,6 +1,6 @@
 """Relational kernels & storage vs the DuckDB oracle.
 
-Everything here is plain relational algebra (degrees, induced-subgraph
+Everything here is plain relational algebra (induced-subgraph
 extraction, the §3.1 prefix-size index, triangle enumeration/support), so
 ``repro.oracle.assert_equivalent`` re-runs each query on DuckDB over the
 same pandas inputs and diffs the sorted rows. The prefix index's lookups are
@@ -11,7 +11,6 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.graphs.storage import SparkGraph
-from repro.kernels.degrees import degrees
 from repro.kernels.triangles import edge_support, triangle_count, triangles
 from repro.oracle import assert_equivalent
 from repro.semi_external.storage import EdgeBlockStore
@@ -30,36 +29,6 @@ def g3(spark):
 def grand(spark):
     ref = random_ref_graph(120, 420, seed=5)
     return ref, ref_to_spark(spark, ref), *ref_to_pandas(ref)
-
-
-class TestDegrees:
-    def test_degrees_vs_duckdb(self, g3):
-        _, sg, vpdf, epdf = g3
-        assert_equivalent(
-            degrees(sg.edges),
-            """
-            SELECT id, COUNT(*) AS degree FROM (
-              SELECT src AS id FROM edges UNION ALL SELECT dst AS id FROM edges
-            ) GROUP BY id
-            """,
-            edges=epdf,
-        )
-
-    def test_degrees_with_isolated_vertices(self, spark):
-        vp = pd.DataFrame({"id": [0, 1, 2, 3], "weight": [4.0, 3.0, 2.0, 1.0]})
-        ep = pd.DataFrame({"src": [0], "dst": [1]})
-        sg = SparkGraph.from_pandas(spark, vp, ep)
-        assert_equivalent(
-            degrees(sg.edges, sg.vertices),
-            """
-            SELECT v.id, COUNT(e.id) AS degree
-            FROM vertices v LEFT JOIN (
-              SELECT src AS id FROM edges UNION ALL SELECT dst AS id FROM edges
-            ) e USING (id) GROUP BY v.id
-            """,
-            vertices=vp,
-            edges=ep,
-        )
 
 
 class TestSubgraphExtraction:
@@ -84,7 +53,7 @@ class TestSubgraphExtraction:
         ref, sg, _, _ = g3
         sub_ref = ref.subgraph_ge(tau)
         sub = sg.subgraph_ge(tau)
-        assert sub.counts() == (sub_ref.n, sub_ref.n_edges)
+        assert (sub.vertices.count(), sub.edges.count()) == (sub_ref.n, sub_ref.n_edges)
 
 
 class TestPrefixIndex:

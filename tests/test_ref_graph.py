@@ -11,6 +11,7 @@ from repro.ref.count_ic import count_ic, gamma_core_set
 from repro.ref.enum_ic import enum_ic
 import repro.ref.graph as graph_module
 from repro.ref.graph import PrefixIndex, RefGraph, positions
+from repro.ref.truss import count_icc, enum_icc
 
 from .paper_graphs import fig1_graph, fig3_graph
 from .spark_helpers import random_ref_graph
@@ -265,6 +266,14 @@ class TestOrganization:
             assert a.edge_list() == b.edge_list()
 
 
+def poisoned_past(r):
+    """fig3 with every layout row past the top-``r`` prefix set to ``n``, a
+    rank no vertex has: reading one raises or answers wrongly."""
+    g = fig3_graph()
+    g.index.nbr[g.prefix_size(r) - r :] = g.n
+    return g
+
+
 class TestPrefixLocality:
     @pytest.mark.parametrize("r", [7, 12, 17])
     def test_prefix_peel_reads_only_the_prefix_rows(self, r):
@@ -273,12 +282,22 @@ class TestPrefixLocality:
         every later row poisoned they still answer as on the subgraph."""
         want_graph = fig3_graph().subgraph_top(r)
         want = count_ic(want_graph, 3)
-        g = fig3_graph()
-        g.index.nbr[g.prefix_size(r) - r :] = 10**9
+        g = poisoned_past(r)
         peel = count_ic(g, 3, prefix=r)
         assert (peel.keys, peel.cvs, peel.nc_flags) == (want.keys, want.cvs, want.nc_flags)
         assert enum_ic(g, peel, None) == enum_ic(want_graph, want, None)
         assert "csr" not in g.__dict__
+
+    @pytest.mark.parametrize("r", [7, 12, 17])
+    def test_prefix_truss_peel_reads_only_the_prefix_rows(self, r):
+        """CountICC and EnumICC likewise: no adjacency of the whole graph."""
+        want_graph = fig3_graph().subgraph_top(r)
+        want = count_icc(want_graph, 3)
+        g = poisoned_past(r)
+        peel = count_icc(g, 3, prefix=r)
+        assert peel.keys == want.keys and peel.edge_groups == want.edge_groups
+        assert enum_icc(g, peel, g.n) == enum_icc(want_graph, want, g.n)
+        assert "adj" not in g.__dict__ and "csr" not in g.__dict__
 
 
 class TestCoreNumbers:
