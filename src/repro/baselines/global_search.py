@@ -40,11 +40,11 @@ def online_all_spark(sg: SparkGraph, gamma: int, k: int) -> List[Community]:
     """OnlineAll: full-graph peel + a component extraction per keynode."""
     lpdf, epdf, keys = _full_labelling(sg, gamma)
     all_comms = _components_pandas(lpdf, epdf, keys)  # every community
-    return all_comms[:k]
+    return all_comms[: max(k, 0)]
 
 
 def forward_spark(sg: SparkGraph, gamma: int, k: int) -> List[Community]:
     """Forward: full-graph peel + components for the top-k keynodes only."""
     lpdf, epdf, keys = _full_labelling(sg, gamma)
-    return _components_pandas(lpdf, epdf, keys[:k])
+    return _components_pandas(lpdf, epdf, keys[: max(k, 0)])
 

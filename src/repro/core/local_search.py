@@ -29,7 +29,8 @@ lookups; this module supplies the stage and its enumeration:
   collected graph, or ``enumerate_driver`` on the survival labelling.
 
 LocalSearch-P, non-containment and LocalSearch-Truss (``repro.core``) run
-the same router with their own ``ref`` stage and distributed stage.
+the same router with their own ``ref`` stage; non-containment and
+LocalSearch-Truss also run it on the core the fixed point leaves (:func:`core_stage`).
 
 Only the weight-suffix subgraph ``G≥τ_i`` is ever read — the locality that
 makes LocalSearch instance-optimal carries over to both routes: a stage
@@ -37,6 +38,7 @@ processes exactly ``size(G≥τ_i)`` rows.
 """
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Callable, Tuple
 
 from pyspark.sql import SparkSession
@@ -46,7 +48,7 @@ from repro.kernels.survival import count_keynodes, survival_threshold
 from repro.ref.graph import RefGraph
 from repro.ref.local_search import LocalSearchResult, Stage, grow_top_k, growth, peel_stage
 
-from .enum_ic import enumerate_driver
+from .enum_ic import collect_live, enumerate_driver
 
 #: Driver memory one row of ``G≥τ`` (a vertex or an edge) is charged while a
 #: stage runs on the driver. The collected frames, the ``RefGraph``, CountIC
@@ -92,6 +94,32 @@ def spark_stage(
         if sg.size_at_tau(tau) <= budget:
             return ref_stage(sg.to_ref(tau))(tau, *rest)
         return distributed_stage(sg.subgraph_ge(tau), tau, *rest)
+
+    return stage
+
+
+def core_stage(
+    ref_stage: Callable[[RefGraph], Callable[..., Tuple[Stage, Any]]], gamma: int
+) -> Callable[..., Tuple[Stage, Any]]:
+    """A survival-route stage that runs ``ref_stage`` on γ-core(G≥τ), for a
+    variant whose count and enumeration there equal those on ``G≥τ``.
+
+    Every finite T of the fixed point on ``G≥τ`` is ≥ τ, so only the live
+    rows (T ≥ τ, :func:`collect_live`), its γ-core, are collected. The
+    record keeps ``size(G≥τ)``, route ``SURVIVAL`` and the supersteps.
+    """
+
+    def stage(sub: SparkGraph, tau: float):
+        surv = survival_threshold(sub.vertices, sub.edges, gamma)
+        labels, edges = collect_live(surv.labels, sub.edges, tau)
+        core = RefGraph(
+            dict(zip(labels["id"].tolist(), labels["weight"].tolist())),
+            edges.to_numpy(),
+        )
+        st, out = ref_stage(core)(tau)
+        return replace(
+            st, size=sub.size_at_tau(tau), route=SURVIVAL, supersteps=surv.iterations
+        ), out
 
     return stage
 

@@ -32,8 +32,6 @@ from dataclasses import dataclass
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from .common import iterate_checkpoint
-
 NEG_INF = float("-inf")
 
 
@@ -64,7 +62,10 @@ def survival_threshold(
     ).unionAll(edges.select(F.col("dst").alias("u"), F.col("src").alias("v")))
     half = half.cache()
     labels = vertices.select("id", "weight", F.col("weight").alias("T"))
-    labels = iterate_checkpoint(labels)
+    # Cut the lineage every superstep, or the plan doubles each round and
+    # Catalyst analysis time blows up. A local checkpoint (executor storage)
+    # is fine for a single-host session, and much cheaper than a reliable one.
+    labels = labels.localCheckpoint(eager=True)
     # get() (not [..]) so fewer-than-γ neighbors yields NULL under ANSI mode.
     kth = F.expr(f"get(sort_array(collect_list(Tv), false), {gamma - 1})")
     it = 0
@@ -89,9 +90,9 @@ def survival_threshold(
             )
         )
         changed = new_labels.filter(F.col("T_new") < F.col("T")).count()
-        labels = iterate_checkpoint(
-            new_labels.select("id", "weight", F.col("T_new").alias("T"))
-        )
+        labels = new_labels.select(
+            "id", "weight", F.col("T_new").alias("T")
+        ).localCheckpoint(eager=True)
         if changed == 0:
             break
     else:

@@ -3,7 +3,8 @@
 ``assert_equivalent(spark_df, sql, **tables)`` runs ``sql`` in DuckDB
 over ``tables`` and asserts the sorted rows match ``spark_df`` (the
 Spark result). This catches wrong results from a rewritten plan or a
-custom operator — "it ran" is not "it is correct".
+custom operator — "it ran" is not "it is correct". The tests check
+``G≥τ`` extraction and the §3.1 prefix-size index with it.
 
 ``tables`` may be Spark or pandas DataFrames; Spark inputs are
 collected via ``.toPandas()``. Alias every output column identically

@@ -20,14 +20,15 @@ from .local_search import LocalSearchResult, Stage, grow_top_k, growth
 
 
 def nc_top_k(g: RefGraph, peel: PeelResult, k: int) -> List[Community]:
-    """The top-k non-containment groups of a peel, highest influence first."""
+    """The top-k non-containment groups of a peel, highest influence first
+    (nothing for ``k ≤ 0``)."""
     groups = peel.groups()
     nc = [
         (g.weight[u], frozenset(grp))
         for u, grp, flag in zip(peel.keys, groups, peel.nc_flags)
         if flag
     ]
-    return nc[::-1][:k]
+    return nc[::-1][: max(k, 0)]
 
 
 def nc_stage(g: RefGraph, gamma: int):

@@ -169,4 +169,4 @@ def online_all_se(
                 resident += 1
                 store.note_resident(resident)
     emit_keys_strictly_above(NEG_INF)
-    return (out[:k] if k is not None else out), store
+    return (out[: max(k, 0)] if k is not None else out), store

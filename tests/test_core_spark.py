@@ -13,27 +13,22 @@ import pytest
 
 import repro.core.enum_ic as core_enum
 import repro.core.local_search as core_ls
-import repro.core.noncontainment as core_nc
 import repro.core.progressive as core_p
 from repro.baselines import global_search
 from repro.baselines.global_search import forward_spark, online_all_spark
 from repro.core.local_search import SURVIVAL, local_search_spark
 from repro.core.noncontainment import top_k_noncontainment_spark
 from repro.core.progressive import local_search_progressive_spark
-from repro.core.truss_search import (
-    KTRUSS,
-    global_search_truss_spark,
-    local_search_truss_spark,
-)
+from repro.core.truss_search import local_search_truss_spark
 from repro.graphs.storage import SparkGraph
 from repro.ref.count_ic import gamma_core_set
 from repro.ref.enum_ic import all_communities_brute
 from repro.ref.graph import RefGraph
 from repro.ref.local_search import DRIVER, local_search, tau_star_size
-from repro.ref.noncontainment import noncontainment_brute, top_k_noncontainment
+from repro.ref.noncontainment import forward_nc, noncontainment_brute, top_k_noncontainment
 from repro.ref.progressive import local_search_progressive
 from repro.ref.truss import global_search_truss, local_search_truss
-from repro.semi_external.algorithms import local_search_se
+from repro.semi_external.algorithms import local_search_se, online_all_se
 from repro.semi_external.storage import EdgeBlockStore
 
 from .paper_graphs import fig3_graph
@@ -139,6 +134,15 @@ def assert_only_live_rows(ref, labels, edges, tau):
         (a, b) for a, b in ref.edge_list() if a in live and b in live
     }
     assert len(edges) < ref.subgraph_ge(tau).n_edges
+
+
+def record_live_rows(monkeypatch):
+    """Record the ``(labels, edges)`` each ``core_stage`` stage collects."""
+    got, collect = [], core_ls.collect_live
+    monkeypatch.setattr(
+        core_ls, "collect_live", lambda *args: got.append(collect(*args)) or got[-1]
+    )
+    return got
 
 
 class TestLocalSearchSparkSurvival(LocalSearchChecks):
@@ -357,6 +361,8 @@ class TestGlobalBaselinesSpark:
         ref, sg = g3
         assert online_all_spark(sg, gamma=3, k=4) == TOP4
         assert forward_spark(sg, gamma=3, k=4) == TOP4
+        for k in (0, -2):  # k ≤ 0 asks for nothing
+            assert online_all_spark(sg, gamma=3, k=k) == forward_spark(sg, gamma=3, k=k) == []
 
     @pytest.mark.parametrize("baseline", [online_all_spark, forward_spark])
     def test_collect_only_finite_T_rows(self, g3, spark, monkeypatch, baseline):
@@ -419,10 +425,7 @@ class TestNonContainmentSparkSurvival(NonContainmentChecks):
 
     def test_collects_only_live_rows(self, g3, monkeypatch):
         ref, sg = g3
-        got, collect = [], core_nc.collect_live
-        monkeypatch.setattr(
-            core_nc, "collect_live", lambda *args: got.append(collect(*args)) or got[-1]
-        )
+        got = record_live_rows(monkeypatch)
         res = top_k_noncontainment_spark(sg, k=2, gamma=3)
         assert [s.tau for s in res.stages] == [17.0, 11.0]
         for (labels, edges), st in zip(got, res.stages, strict=True):
@@ -464,13 +467,25 @@ class TrussChecks:
 
 
 class TestTrussSpark(TrussChecks):
-    def test_global_search_spark_equals_ref(self, g3):
+    pass
+
+
+class TestTrussSparkSurvival(TrussChecks):
+    ROUTE = SURVIVAL
+
+    def test_collects_only_live_rows(self, g3, monkeypatch):
+        """Each stage collects only the (γ−1)-core of G≥τ: the rows with
+        T ≥ τ at γ−1 and the edges between them."""
         ref, sg = g3
-        assert global_search_truss_spark(sg, 2, 4) == global_search_truss(ref, 2, 4)
-
-
-class TestTrussSparkKtruss(TrussChecks):
-    ROUTE = KTRUSS
+        got = record_live_rows(monkeypatch)
+        gammas = record_calls(monkeypatch, core_ls, "survival_threshold")
+        res = local_search_truss_spark(sg, 2, 4)
+        assert res.communities == global_search_truss(ref, 2, 4)
+        assert [args[2] for args in gammas] == [3] * len(res.stages)
+        for (labels, edges), st in zip(got, res.stages, strict=True):
+            sub = ref.subgraph_ge(st.tau)
+            assert set(labels["id"]) == gamma_core_set(sub.weight, sub.edge_list(), 3)
+            assert_only_live_rows(ref, labels, edges, st.tau)
 
 
 def raised(search, *args) -> str:
@@ -519,3 +534,6 @@ class TestInputChecks:
                 ]
                 assert answers == [[]] * len(answers)
         assert store.stats.blocks_read == 0
+        # The global baselines count every community first, then slice.
+        for k in (0, -2):
+            assert forward_nc(ref, k, 3) == online_all_se(store, 3, k)[0] == []

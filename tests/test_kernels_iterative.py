@@ -1,11 +1,9 @@
 """Iterative Pregel-style kernels vs the exact sequential references."""
 import pytest
 
-from repro.kernels.ktruss import gamma_truss, gamma_truss_subgraph
 from repro.kernels.survival import count_keynodes, keynodes, survival_threshold
 from repro.ref.count_ic import count_ic, survival_threshold_brute
 from repro.ref.graph import NEG_INF
-from repro.ref.truss import truss_edges_brute
 
 from .paper_graphs import fig3_graph
 from .spark_helpers import random_ref_graph, ref_to_spark
@@ -67,27 +65,3 @@ class TestUnconvergedRaises:
         _, sg = g3
         with pytest.raises(RuntimeError, match="did not converge in 1 supersteps"):
             survival_threshold(sg.vertices, sg.edges, 3, max_iter=1)
-
-    def test_gamma_truss(self, g3):
-        _, sg = g3
-        with pytest.raises(RuntimeError, match="did not converge in 1 rounds"):
-            gamma_truss(sg.edges, 4, max_iter=1)
-
-
-class TestGammaTruss:
-    @pytest.mark.parametrize("gamma", [3, 4])
-    def test_matches_brute(self, grand, gamma):
-        ref, sg = grand
-        got = {(r["a"], r["b"]) for r in gamma_truss(sg.edges, gamma).collect()}
-        want = truss_edges_brute(ref.weight, ref.edge_list(), gamma)
-        assert got == want
-
-    def test_truss_subgraph_drops_isolated(self, g3):
-        ref, sg = g3
-        v, e = gamma_truss_subgraph(sg.vertices, sg.edges, 4)
-        ids = {r["id"] for r in v.select("id").collect()}
-        edges = {(r["a"], r["b"]) for r in e.collect()}
-        want_edges = truss_edges_brute(ref.weight, ref.edge_list(), 4)
-        assert edges == want_edges
-        assert ids == {x for ab in want_edges for x in ab}
-

@@ -1,17 +1,13 @@
 """Relational kernels & storage vs the DuckDB oracle.
 
 Everything here is plain relational algebra (induced-subgraph
-extraction, the §3.1 prefix-size index, triangle enumeration/support), so
+extraction and the §3.1 prefix-size index), so
 ``repro.oracle.assert_equivalent`` re-runs each query on DuckDB over the
 same pandas inputs and diffs the sorted rows. The prefix index's lookups are
 checked on all three graph types that answer from it.
 """
-import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
-from repro.graphs.storage import SparkGraph
-from repro.kernels.triangles import edge_support, triangle_count, triangles
 from repro.oracle import assert_equivalent
 from repro.semi_external.storage import EdgeBlockStore
 
@@ -117,56 +113,3 @@ class TestPrefixIndex:
         ref, sg, _, _ = g3
         assert sg.size_at_tau(18.0) == 18  # Example 3.1: 7 vertices + 11 edges
         assert sg.size_at_tau(12.0) == 36
-
-
-class TestTriangles:
-    def test_triangles_vs_duckdb(self, grand):
-        _, sg, _, epdf = grand
-        ce = pd.DataFrame(
-            {"a": epdf[["src", "dst"]].min(axis=1), "b": epdf[["src", "dst"]].max(axis=1)}
-        )
-        assert_equivalent(
-            triangles(sg.edges),
-            """
-            SELECT e1.a AS a, e1.b AS b, e2.b AS c
-            FROM ce e1
-            JOIN ce e2 ON e2.a = e1.b
-            JOIN ce e3 ON e3.a = e1.a AND e3.b = e2.b
-            """,
-            ce=ce,
-        )
-
-    def test_support_vs_duckdb(self, g3):
-        _, sg, _, epdf = g3
-        ce = pd.DataFrame(
-            {"a": epdf[["src", "dst"]].min(axis=1), "b": epdf[["src", "dst"]].max(axis=1)}
-        )
-        assert_equivalent(
-            edge_support(sg.edges),
-            """
-            WITH t AS (
-              SELECT e1.a AS a, e1.b AS b, e2.b AS c
-              FROM ce e1
-              JOIN ce e2 ON e2.a = e1.b
-              JOIN ce e3 ON e3.a = e1.a AND e3.b = e2.b
-            ), sides AS (
-              SELECT a, b FROM t
-              UNION ALL SELECT a, c AS b FROM t
-              UNION ALL SELECT b AS a, c AS b FROM t
-            )
-            SELECT ce.a, ce.b, COALESCE(s.support, 0) AS support
-            FROM ce LEFT JOIN (
-              SELECT a, b, COUNT(*) AS support FROM sides GROUP BY a, b
-            ) s USING (a, b)
-            """,
-            ce=ce,
-        )
-
-    def test_triangle_count_cliques(self, spark):
-        # K4 has exactly 4 triangles.
-        vp = pd.DataFrame({"id": range(4), "weight": [1.0, 2.0, 3.0, 4.0]})
-        ep = pd.DataFrame(
-            [(a, b) for a in range(4) for b in range(a + 1, 4)], columns=["src", "dst"]
-        )
-        sg = SparkGraph.from_pandas(spark, vp, ep)
-        assert triangle_count(sg.edges) == 4

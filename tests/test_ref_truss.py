@@ -3,9 +3,10 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.ref.count_ic import keynodes_brute
+from repro.ref.count_ic import gamma_core_set, keynodes_brute
 from repro.ref.enum_ic import all_communities_brute
 from repro.ref.graph import RefGraph
+from repro.ref.noncontainment import nc_stage
 from repro.ref.truss import (
     count_icc,
     enum_icc,
@@ -14,6 +15,7 @@ from repro.ref.truss import (
     truss_community_brute,
     truss_edges_brute,
     truss_keynodes_brute,
+    truss_stage,
 )
 
 from .paper_graphs import fig3_graph
@@ -80,6 +82,32 @@ def test_truss_implies_core_relationship(g, gamma):
     for w, s in global_search_truss(g, k=10**6, gamma=gamma):
         core_comms = all_communities_brute(g, gamma - 1)
         assert any(s <= s2 and w2 == w for w2, s2 in core_comms)
+
+
+def core_of(g: RefGraph, tau: float, gamma: int) -> RefGraph:
+    """The ``RefGraph`` of γ-core(G≥τ): what the Spark survival route collects."""
+    sub = g.subgraph_ge(tau)
+    keep = gamma_core_set(sub.weight, sub.edge_list(), gamma)
+    return RefGraph(
+        {v: g.weight[v] for v in keep},
+        [(a, b) for a, b in sub.edge_list() if a in keep and b in keep],
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=random_graph(), gamma=GAMMAS, data=st.data())
+def test_stages_on_the_survival_core_equal_the_prefix(g, gamma, data):
+    """A γ-truss lies inside the (γ−1)-core, and every non-containment group
+    inside the γ-core: the truss stage on (γ−1)-core(G≥τ) and the NC stage on
+    γ-core(G≥τ) count and enumerate what they do on G≥τ."""
+    tau = data.draw(st.sampled_from(sorted(g.weight.values())))
+    for stage, core_gamma in ((truss_stage, gamma - 1), (nc_stage, gamma)):
+        (want, want_top), (got, got_top) = (
+            stage(h, gamma)(tau) for h in (g, core_of(g, tau, core_gamma))
+        )
+        assert got.count == want.count
+        for k in (1, 2, 5, 100):
+            assert got_top(k) == want_top(k)
 
 
 class TestFig3Truss:
