@@ -1,7 +1,8 @@
 """Distributed global-search baselines: OnlineAll and Forward.
 
 Both process the **entire** graph regardless of k — the deficiency the
-paper's local search removes. Mapped to the substrate:
+paper's local search removes — except that ``k ≤ 0`` asks for nothing and
+runs nothing. Mapped to the substrate:
 
 * the full-graph peel (OnlineAll's subroutines 1+3 / Forward's first pass)
   is the survival-threshold fixed point over *all* of G;
@@ -38,13 +39,17 @@ def _full_labelling(sg: SparkGraph, gamma: int):
 
 def online_all_spark(sg: SparkGraph, gamma: int, k: int) -> List[Community]:
     """OnlineAll: full-graph peel + a component extraction per keynode."""
+    if k <= 0:
+        return []
     lpdf, epdf, keys = _full_labelling(sg, gamma)
     all_comms = _components_pandas(lpdf, epdf, keys)  # every community
-    return all_comms[: max(k, 0)]
+    return all_comms[:k]
 
 
 def forward_spark(sg: SparkGraph, gamma: int, k: int) -> List[Community]:
     """Forward: full-graph peel + components for the top-k keynodes only."""
+    if k <= 0:
+        return []
     lpdf, epdf, keys = _full_labelling(sg, gamma)
-    return _components_pandas(lpdf, epdf, keys[: max(k, 0)])
+    return _components_pandas(lpdf, epdf, keys[:k])
 

@@ -39,6 +39,7 @@ processes exactly ``size(G≥τ_i)`` rows.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 from typing import Any, Callable, Tuple
 
 from pyspark.sql import SparkSession
@@ -76,7 +77,7 @@ def driver_rows_budget(spark: SparkSession) -> int:
 
 def spark_stage(
     sg: SparkGraph,
-    ref_stage: Callable[[RefGraph], Callable[..., Tuple[Stage, Any]]],
+    ref_stage: Callable[..., Tuple[Stage, Any]],
     distributed_stage: Callable[..., Tuple[Stage, Any]],
 ) -> Callable[..., Tuple[Stage, Any]]:
     """A growth-driver stage over ``sg`` that picks its route per stage.
@@ -84,22 +85,22 @@ def spark_stage(
     ``stage(τ, …)`` checks ``size(G≥τ)`` against the driver budget on the
     prefix index (no Spark job). When it fits, ``SparkGraph.to_ref``
     collects ``G≥τ``'s edges, the one Spark job of the stage, and
-    ``ref_stage(g)(τ, …)`` runs on the collected ``RefGraph``: the ``ref``
-    variant's own stage, route ``DRIVER``. Otherwise it runs
+    ``ref_stage(G≥τ, τ, …)`` runs on the collected ``RefGraph``: the
+    ``ref`` variant's own stage, route ``DRIVER``. Otherwise it runs
     ``distributed_stage(sg.subgraph_ge(τ), τ, …)``.
     """
     budget = driver_rows_budget(sg.vertices.sparkSession)
 
     def stage(tau: float, *rest):
         if sg.size_at_tau(tau) <= budget:
-            return ref_stage(sg.to_ref(tau))(tau, *rest)
+            return ref_stage(sg.to_ref(tau), tau, *rest)
         return distributed_stage(sg.subgraph_ge(tau), tau, *rest)
 
     return stage
 
 
 def core_stage(
-    ref_stage: Callable[[RefGraph], Callable[..., Tuple[Stage, Any]]], gamma: int
+    ref_stage: Callable[..., Tuple[Stage, Any]], gamma: int
 ) -> Callable[..., Tuple[Stage, Any]]:
     """A survival-route stage that runs ``ref_stage`` on γ-core(G≥τ), for a
     variant whose count and enumeration there equal those on ``G≥τ``.
@@ -116,7 +117,7 @@ def core_stage(
             dict(zip(labels["id"].tolist(), labels["weight"].tolist())),
             edges.to_numpy(),
         )
-        st, out = ref_stage(core)(tau)
+        st, out = ref_stage(core, tau)
         return replace(
             st, size=sub.size_at_tau(tau), route=SURVIVAL, supersteps=surv.iterations
         ), out
@@ -140,5 +141,5 @@ def local_search_spark(
             lambda k: enumerate_driver(surv.labels, sub.edges, k),
         )
 
-    stage = spark_stage(sg, lambda g: peel_stage(g, gamma), survival)
+    stage = spark_stage(sg, partial(peel_stage, gamma=gamma), survival)
     return grow_top_k(sg, k, k + gamma, growth(delta), stage)

@@ -29,6 +29,7 @@ two routes by ``repro.core.local_search.spark_stage``:
 """
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterator
 
 from pyspark.sql import functions as F
@@ -68,5 +69,5 @@ def local_search_progressive_spark(
         lpdf, epdf = collect_live(surv.labels, sub.edges, keys[-1][1])
         return st, _components_pandas(lpdf, epdf, keys)
 
-    stage = spark_stage(sg, lambda g: progressive_stage(g, gamma, dsu), survival)
+    stage = spark_stage(sg, partial(progressive_stage, gamma=gamma, dsu=dsu), survival)
     yield from progressive(sg, 1 + gamma, next_size, stage)

@@ -37,24 +37,29 @@ VERTEX_SCHEMA = "id long, weight double"
 EDGE_SCHEMA = "src long, dst long, w_min double"
 
 
-def canonical_frames(
-    vertices: pd.DataFrame, edges: pd.DataFrame
-) -> Tuple[pd.DataFrame, pd.DataFrame]:
-    """``RefGraph``'s graph contract (``repro.ref.graph.check_graph``),
-    applied to pandas frames.
-
-    Edges are oriented ``src < dst`` and duplicates (in either orientation)
-    dropped. Repeated vertex ids, tied weights, self-loops and edges to
-    unknown vertices raise ``ValueError`` with ``RefGraph``'s messages.
-    """
+def _unique_edges(vertices: pd.DataFrame, edges: pd.DataFrame):
+    """The ``(id, weight)`` frame and the edge ends ``src, dst`` less every
+    repeat of a pair (in either orientation): each pair's first row is kept
+    as given, so the contract names the offending edge as it was input."""
     v = vertices[["id", "weight"]].astype({"id": "int64", "weight": "float64"})
     src = edges["src"].to_numpy(dtype=np.int64)
     dst = edges["dst"].to_numpy(dtype=np.int64)
-    check_graph(v["id"], v["weight"], src, dst, reject_duplicates=False)
-    e = pd.DataFrame(
-        {"src": np.minimum(src, dst), "dst": np.maximum(src, dst)}
-    ).drop_duplicates(ignore_index=True)
-    return v, e
+    pairs = pd.DataFrame({"a": np.minimum(src, dst), "b": np.maximum(src, dst)})
+    first = ~pairs.duplicated().to_numpy()
+    return v, src[first], dst[first]
+
+
+def canonical_frames(
+    vertices: pd.DataFrame, edges: pd.DataFrame
+) -> Tuple[pd.DataFrame, pd.DataFrame]:
+    """``RefGraph``'s graph contract (``repro.ref.graph.check_graph``) on
+    pandas frames, as :meth:`SparkGraph.from_pandas` applies it: duplicate
+    edges (in either orientation) are dropped and the rest oriented ``src <
+    dst``; repeated vertex ids, tied weights, self-loops and edges to
+    unknown vertices raise ``ValueError`` with ``RefGraph``'s messages."""
+    v, src, dst = _unique_edges(vertices, edges)
+    check_graph(v["id"], v["weight"], src, dst)
+    return v, pd.DataFrame({"src": np.minimum(src, dst), "dst": np.maximum(src, dst)})
 
 
 @dataclass
@@ -78,15 +83,17 @@ class SparkGraph(PrefixLookups):
     def from_pandas(
         spark: SparkSession, vertices: pd.DataFrame, edges: pd.DataFrame
     ) -> "SparkGraph":
-        """Build from pandas ``(id, weight)`` and ``(src, dst)`` frames,
-        checked and canonicalised by :func:`canonical_frames` first.
+        """Build from pandas ``(id, weight)`` and ``(src, dst)`` frames.
 
-        Both frames are written from the prefix index on the driver, in rank
-        and layout order, and cached and materialised here: no join, no
-        shuffle, and the first query pays for no cache build.
+        Duplicate edges (in either orientation) are dropped, then
+        :meth:`PrefixIndex.build` checks the graph contract, once, with
+        ``RefGraph``'s messages (:func:`canonical_frames` is the same check
+        on its own). Both frames are written from the prefix index on the
+        driver, in rank and layout order, and cached and materialised here:
+        no join, no shuffle, and the first query pays for no cache build.
         """
-        vertices, edges = canonical_frames(vertices, edges)
-        index = PrefixIndex.build(vertices["id"], vertices["weight"], edges["src"], edges["dst"])
+        v, src, dst = _unique_edges(vertices, edges)
+        index = PrefixIndex.build(v["id"], v["weight"], src, dst)
         src, dst, w_min = index.edge_rows()
         v = spark.createDataFrame(
             pd.DataFrame({"id": index.ids, "weight": index.weights}), schema=VERTEX_SCHEMA

@@ -20,12 +20,13 @@
 """
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Optional
 
 from .count_ic import _Peeler, count_ic
 from .enum_ic import Community, enum_ic
 from .graph import RefGraph
-from .local_search import LocalSearchResult, Stage, grow_top_k, growth, peel_stage
+from .local_search import LocalSearchResult, Stage, grow_top_k, growth, on_prefix, peel_stage
 
 
 def _component(peeler: _Peeler, u: int) -> frozenset:
@@ -43,16 +44,13 @@ def _component(peeler: _Peeler, u: int) -> frozenset:
     return frozenset(peeler.ids[v] for v in comp)
 
 
-def online_all(
-    g: RefGraph, gamma: int, k: Optional[int] = None, prefix: Optional[int] = None
-) -> List[Community]:
+def online_all(g: RefGraph, gamma: int, k: Optional[int] = None) -> List[Community]:
     """All influential γ-communities, **increasing** influence order.
 
     If ``k`` is given, only the last k are returned (still increasing order —
-    callers wanting the paper's top-k reverse it). ``prefix`` restricts to
-    the top-r induced subgraph (used by LocalSearch-OA's counting step).
+    callers wanting the paper's top-k reverse it).
     """
-    peeler = _Peeler(g, gamma, prefix=prefix)
+    peeler = _Peeler(g, gamma)
     peeler.reduce_core()
     out: List[Community] = []
     while True:
@@ -91,7 +89,8 @@ def backward_arith(g: RefGraph, k: int, gamma: int) -> LocalSearchResult:
     added vertex (``size + 1`` is the prefix with one vertex more),
     reproducing that cost shape (substitution recorded in DESIGN.md §4;
     stage records are kept per round)."""
-    return grow_top_k(g, k, k + gamma, lambda size: size + 1, peel_stage(g, gamma))
+    stage = on_prefix(g, partial(peel_stage, gamma=gamma))
+    return grow_top_k(g, k, k + gamma, lambda size: size + 1, stage)
 
 
 def local_search_oa(
@@ -99,13 +98,9 @@ def local_search_oa(
 ) -> LocalSearchResult:
     """Algorithm 1 with CountIC swapped for OnlineAll-based counting."""
 
-    def stage(tau: float):
-        r = g.r_for_tau(tau)
+    def stage(sub: RefGraph, tau: float):
         # enumerates (BFS per community) just to count
-        count = len(online_all(g, gamma, prefix=r))
-        return (
-            Stage(tau, g.prefix_size(r), count),
-            lambda k: enum_ic(g, count_ic(g, gamma, prefix=r), k),
-        )
+        count = len(online_all(sub, gamma))
+        return Stage(tau, sub.size, count), lambda k: enum_ic(sub, count_ic(sub, gamma), k)
 
-    return grow_top_k(g, k, k + gamma, growth(delta), stage)
+    return grow_top_k(g, k, k + gamma, growth(delta), on_prefix(g, stage))

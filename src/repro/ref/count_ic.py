@@ -12,10 +12,10 @@ queue, the O(m) core peel of Batagelj & Zaversnik. Vertices are in
 decreasing weight order (§3.1 ★★), so Line 5's arg-min is a cursor that
 walks the ranks down from the last one and never turns back.
 
-``construct_cvs`` is the progressive variant (Algorithm 5): it stops as soon
-as the next minimum-weight vertex has weight ≥ ``tau_stop``, producing only
-the *prefix* of ``keys``/``cvs`` that the previous (smaller) subgraph did not
-already cover.
+With ``tau_stop`` it is ConstructCVS, the progressive variant (Algorithm
+5): it stops as soon as the next minimum-weight vertex has weight ≥
+``tau_stop``, producing only the *prefix* of ``keys``/``cvs`` that the
+previous (smaller) subgraph did not already cover.
 
 The module also contains independent brute-force definitions
 (:func:`gamma_core_set`, :func:`survival_threshold_brute`,
@@ -77,24 +77,19 @@ class PeelResult:
 
 
 class _Peeler:
-    """γ-core peel state in rank space over the CSR of the top-``r``
-    prefix: degrees, an ``alive`` bytearray and the arg-min cursor."""
+    """γ-core peel state in rank space over the graph's CSR: degrees, an
+    ``alive`` bytearray and the arg-min cursor."""
 
-    def __init__(self, g: RefGraph, gamma: int, prefix: Optional[int] = None):
-        """Peel the whole graph, or — via ``prefix=r`` — the subgraph induced
-        by the ``r`` highest-weight vertices, whose CSR is built from the
-        layout's first ``prefix_size(r) − r`` rows only (§3.1 ★★), in
-        O(its size)."""
+    def __init__(self, g: RefGraph, gamma: int):
         if gamma < 1:
             raise ValueError("gamma must be >= 1")
         self.gamma = gamma
-        r = g.n if prefix is None else min(max(prefix, 0), g.n)
-        self.ids = g.order if r == g.n else g.index.ids[:r].tolist()
-        self.csr = g.csr if r == g.n else g.index.head(r).csr()
+        self.ids = g.order
+        self.csr = g.csr
         indptr = self.csr[0]
-        self.deg = [indptr[i + 1] - indptr[i] for i in range(r)]
-        self.alive = bytearray(b"\x01") * r
-        self.cursor = r - 1  # every rank past it has been removed
+        self.deg = [indptr[i + 1] - indptr[i] for i in range(g.n)]
+        self.alive = bytearray(b"\x01") * g.n
+        self.cursor = g.n - 1  # every rank past it has been removed
 
     def remove(self, queue: List[int]) -> List[int]:
         """Procedure ``Remove`` of Algorithm 2 for the already-killed
@@ -141,35 +136,26 @@ class _Peeler:
         return any(alive[w] for v in vertices for w in nbrs[indptr[v] : indptr[v + 1]])
 
 
-def count_ic(
-    g: RefGraph,
-    gamma: int,
-    tau_stop: Optional[float] = None,
-    prefix: Optional[int] = None,
-) -> PeelResult:
-    """Algorithm 2 (``tau_stop=None``) / Algorithm 5 (``tau_stop=τ``).
-
-    With ``prefix=r`` the peel runs on the top-``r`` induced subgraph,
-    whose CSR is the layout's prefix — the form every local-search driver
-    uses. Runs in O(size of the peeled graph): every vertex is queued at
-    most once, each edge touched O(1) times, and the cursor passes each
-    rank once.
+def count_ic(g: RefGraph, gamma: int, tau_stop: Optional[float] = None) -> PeelResult:
+    """Algorithm 2 (``tau_stop=None``) / Algorithm 5 (``tau_stop=τ``) on
+    ``g``, which a local search hands in as its stage's ``G≥τ``
+    (``RefGraph.subgraph_ge``: the layout's first rows, whose CSR costs
+    O(its size)). Runs in O(size(g)): every vertex is queued at most once,
+    each edge touched O(1) times, and the cursor passes each rank once.
     """
-    peeler = _Peeler(g, gamma, prefix=prefix)
+    peeler = _Peeler(g, gamma)
+    weights = g.index.weights
     res = PeelResult(peeler.ids, peeler.csr, precore=peeler.reduce_core())
     while True:
         u = peeler.pop_min()
         if u is None:
             break
-        if tau_stop is not None and g.weight[peeler.ids[u]] >= tau_stop:
+        if tau_stop is not None and weights[u] >= tau_stop:
             break
         band = peeler.remove_cascade(u)
         res.bands.append(band)
         res.nc_flags.append(not peeler.has_edge_to_alive(band))
     return res
-
-
-construct_cvs = count_ic  # Algorithm 5 is Algorithm 2 with a stop threshold.
 
 
 # --------------------------------------------------------------------------

@@ -69,6 +69,7 @@ class _CommunityDSU:
         keynode's community once its band is active."""
         indptr, nbrs = peel.csr
         ids, parent, union = peel.ids, self.parent, self.union
+        weights = g.index.weights  # by rank, as the peel's bands are
         for band in reversed(peel.bands):
             for v in band:
                 a = ids[v]
@@ -76,8 +77,7 @@ class _CommunityDSU:
                 for x in nbrs[indptr[v] : indptr[v + 1]]:
                     if ids[x] in parent:  # already activated ⇒ band ≥ ω(u)
                         union(a, ids[x])
-            u = ids[band[0]]
-            yield g.weight[u], self.community(u)
+            yield float(weights[band[0]]), self.community(ids[band[0]])
 
 
 def enum_ic(g: RefGraph, peel: PeelResult, k: int) -> List[Community]:

@@ -37,10 +37,10 @@ The contract is checked once, at ingest: ``RefGraph(weights, edges)`` runs
 :func:`check_graph` inside :meth:`PrefixIndex.build`. A slice of a checked
 layout is trusted: ``RefGraph(index=…)`` builds a graph from a
 :class:`PrefixIndex` with its layout, with no check and no sort.
-``subgraph_top`` builds from ``index.head(r)``, and each LocalSearch-SE
-stage and Spark driver stage from the rows it read back
-(:meth:`PrefixIndex.with_edges`, which checks only that the rows are the
-index's layout).
+``subgraph_top`` (every ``ref`` stage's ``G≥τ``) builds from
+``index.head(r)``, and each LocalSearch-SE stage and Spark driver stage
+from the rows it read back (:meth:`PrefixIndex.with_edges`, which checks
+only that the rows are the index's layout).
 
 Weights must be pairwise distinct (paper §2 assumption).
 """
@@ -61,17 +61,15 @@ def positions(ids: np.ndarray, values: np.ndarray) -> np.ndarray:
     return pd.Index(ids).get_indexer(values)
 
 
-def check_graph(
-    ids, weights, src, dst, reject_duplicates: bool = True
-) -> Tuple[np.ndarray, np.ndarray]:
+def check_graph(ids, weights, src, dst) -> Tuple[np.ndarray, np.ndarray]:
     """The graph contract (paper §2) on arrays; returns the positions of
     ``src`` and ``dst`` in ``ids``.
 
-    Repeated vertex ids, tied weights, self-loops and edges to unknown
-    vertices raise ``ValueError``, and so do duplicate edges (in either
-    orientation) unless ``reject_duplicates`` is off. An edge error names
-    the first offending edge in input order. The endpoints are found by
-    one :func:`positions` lookup over the ids.
+    Repeated vertex ids, tied weights, self-loops, edges to unknown
+    vertices and duplicate edges (in either orientation) raise
+    ``ValueError``. An edge error names the first offending edge in input
+    order. The endpoints are found by one :func:`positions` lookup over
+    the ids.
     """
     ids = np.asarray(ids, dtype=np.int64)
     src = np.asarray(src, dtype=np.int64)
@@ -85,13 +83,12 @@ def check_graph(
     loop = src == dst
     unknown = (at_src < 0) | (at_dst < 0)
     bad = loop | unknown
+    # One key per unordered pair; a bad edge gets a key of its own.
+    key = np.minimum(at_src, at_dst) * len(ids) + np.maximum(at_src, at_dst)
+    key[bad] = -1 - np.flatnonzero(bad)
+    perm = np.argsort(key, kind="stable")
     duplicate = np.zeros(len(src), dtype=bool)
-    if reject_duplicates and len(src):
-        # One key per unordered pair; a bad edge gets a key of its own.
-        key = np.minimum(at_src, at_dst) * len(ids) + np.maximum(at_src, at_dst)
-        key[bad] = -1 - np.flatnonzero(bad)
-        perm = np.argsort(key, kind="stable")
-        duplicate[perm[1:][key[perm[1:]] == key[perm[:-1]]]] = True
+    duplicate[perm[1:][key[perm[1:]] == key[perm[:-1]]]] = True
     offending = np.flatnonzero(bad | duplicate)
     if len(offending):
         i = offending[0]
@@ -278,8 +275,9 @@ class RefGraph(PrefixLookups):
         driver stages (``PrefixIndex.with_edges`` over the rows read back).
 
     ``index`` holds the prefix index and the §3.1 edge layout, and is all
-    that construction builds. ``order``, ``csr``, ``adj`` and the ``N≥``
-    lists are read off it on first use.
+    that construction from an index builds. ``weight``, ``order``, ``csr``,
+    ``adj`` and the ``N≥`` lists are read off it on first use, so a stage
+    graph costs only what its peel reads.
     """
 
     def __init__(
@@ -291,7 +289,6 @@ class RefGraph(PrefixLookups):
     ):
         if index is not None:
             self.index = index
-            self.weight: Dict[int, float] = dict(zip(index.ids.tolist(), index.weights.tolist()))
             self.n_edges = len(index.nbr)
             return
         self.weight = dict(weights)
@@ -308,9 +305,14 @@ class RefGraph(PrefixLookups):
         )
 
     # ------------------------------------------------------------------ basic
+    @cached_property
+    def weight(self) -> Dict[int, float]:
+        """id → weight: the input mapping, or the index's in rank order."""
+        return dict(zip(self.index.ids.tolist(), self.index.weights.tolist()))
+
     @property
     def n(self) -> int:
-        return len(self.weight)
+        return self.index.n
 
     @property
     def size(self) -> int:

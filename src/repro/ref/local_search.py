@@ -10,8 +10,11 @@ the whole graph has been a stage. The graph supplies the weight-ordered
 prefix-size lookups of the graph organization (§3.1): ``tau_for_rank``,
 ``tau_for_size`` and ``tau_min``, which ``RefGraph``, ``SparkGraph`` and
 the semi-external ``EdgeBlockStore`` all answer from their
-``PrefixIndex`` (``repro.ref.graph``). A stage function does Line 3, the count, and returns its
-:class:`Stage` record with whatever its variant enumerates from.
+``PrefixIndex`` (``repro.ref.graph``). A stage is Line 3, the count, on
+the stage graph: ``stage(sub, τ, …)`` peels ``sub`` = ``G≥τ`` and returns
+its :class:`Stage` record with whatever its variant enumerates from. Each
+engine only builds ``sub``: ``ref`` with :func:`on_prefix`, Spark by
+collecting it, LocalSearch-SE from the blocks it read.
 
 :func:`grow_top_k` stops the growth at ``count ≥ k`` and enumerates the
 last stage. LocalSearch-P (``ref.progressive``), non-containment
@@ -20,16 +23,17 @@ Backward/OA baselines (``ref.baselines``), the Spark drivers
 (``repro.core``) and LocalSearch-SE (``repro.semi_external``) each supply
 only a stage function and an enumeration.
 
-Here, :func:`local_search` peels the top-r prefix in place with CountIC
-(the N≥ split, §3.1 ★★: no per-stage graph reconstruction) and finishes
-with EnumIC. The stage trace records (τ, size, count) per stage; the
-instance-optimality tests compare its accessed size against
-``size(G≥τ*)`` (Lemma 3.8: accessed < 2δ·size(G≥τ*)).
+Here, :func:`local_search` runs CountIC on each stage's ``G≥τ``, the top-r
+prefix of the §3.1 layout (the N≥ split, ★★: built in O(its size), with no
+check and no sort), and finishes with EnumIC. The stage trace records (τ,
+size, count) per stage; the instance-optimality tests compare its accessed
+size against ``size(G≥τ*)`` (Lemma 3.8: accessed < 2δ·size(G≥τ*)).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Iterator, List, Tuple
 
 from .count_ic import count_ic
@@ -108,22 +112,23 @@ def grow_top_k(
     return res
 
 
-def peel_stage(g: RefGraph, gamma: int):
-    """LocalSearch's stage: CountIC on the top-r prefix, then EnumIC."""
+def on_prefix(g: RefGraph, stage: Callable[..., Tuple[Stage, Any]]):
+    """``ref``'s growth-driver stage: ``stage`` on ``G≥τ``, the layout's prefix."""
+    return lambda tau, *rest: stage(g.subgraph_ge(tau), tau, *rest)
 
-    def stage(tau: float):
-        r = g.r_for_tau(tau)
-        peel = count_ic(g, gamma, prefix=r)
-        return Stage(tau, g.prefix_size(r), peel.count), lambda k: enum_ic(g, peel, k)
 
-    return stage
+def peel_stage(sub: RefGraph, tau: float, gamma: int):
+    """LocalSearch's stage: CountIC on ``sub`` = ``G≥τ``, then EnumIC."""
+    peel = count_ic(sub, gamma)
+    return Stage(tau, sub.size, peel.count), lambda k: enum_ic(sub, peel, k)
 
 
 def local_search(
     g: RefGraph, k: int, gamma: int, delta: float = 2.0
 ) -> LocalSearchResult:
     """Algorithm 1. Returns top-k communities in decreasing influence order."""
-    return grow_top_k(g, k, k + gamma, growth(delta), peel_stage(g, gamma))
+    stage = on_prefix(g, partial(peel_stage, gamma=gamma))
+    return grow_top_k(g, k, k + gamma, growth(delta), stage)
 
 
 def tau_star_size(g: RefGraph, k: int, gamma: int) -> int:

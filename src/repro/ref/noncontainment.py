@@ -11,12 +11,13 @@ prefix's CountIC, until there are at least ``k`` of them.
 """
 from __future__ import annotations
 
+from functools import partial
 from typing import List
 
 from .count_ic import PeelResult, count_ic
 from .enum_ic import Community
 from .graph import RefGraph
-from .local_search import LocalSearchResult, Stage, grow_top_k, growth
+from .local_search import LocalSearchResult, Stage, grow_top_k, growth, on_prefix
 
 
 def nc_top_k(g: RefGraph, peel: PeelResult, k: int) -> List[Community]:
@@ -31,32 +32,28 @@ def nc_top_k(g: RefGraph, peel: PeelResult, k: int) -> List[Community]:
     return nc[::-1][: max(k, 0)]
 
 
-def nc_stage(g: RefGraph, gamma: int):
-    """The non-containment stage: CountIC on the top-r prefix, counting the
+def nc_stage(sub: RefGraph, tau: float, gamma: int):
+    """The non-containment stage: CountIC on ``sub`` = ``G≥τ``, counting the
     flagged keynodes, then their groups."""
-
-    def stage(tau: float):
-        r = g.r_for_tau(tau)
-        peel = count_ic(g, gamma, prefix=r)
-        return (
-            Stage(tau, g.prefix_size(r), sum(peel.nc_flags)),
-            lambda k: nc_top_k(g, peel, k),
-        )
-
-    return stage
+    peel = count_ic(sub, gamma)
+    return Stage(tau, sub.size, sum(peel.nc_flags)), lambda k: nc_top_k(sub, peel, k)
 
 
 def top_k_noncontainment(
     g: RefGraph, k: int, gamma: int, delta: float = 2.0
 ) -> LocalSearchResult:
     """Top-k non-containment communities, highest influence first."""
+    stage = on_prefix(g, partial(nc_stage, gamma=gamma))
     # k disjoint NC communities span ≥ k·(γ+1) vertices — the §5.1 τ₁ bound.
-    return grow_top_k(g, k, k * (gamma + 1), growth(delta), nc_stage(g, gamma))
+    return grow_top_k(g, k, k * (gamma + 1), growth(delta), stage)
 
 
 def forward_nc(g: RefGraph, k: int, gamma: int) -> List[Community]:
     """Forward's non-containment variant [8] (Eval-VII baseline): one global
-    CountIC pass over the whole graph, then report the top-k NC groups."""
+    CountIC pass over the whole graph, then report the top-k NC groups
+    (nothing, and no pass, for ``k ≤ 0``)."""
+    if k <= 0:
+        return []
     return nc_top_k(g, count_ic(g, gamma), k)
 
 

@@ -22,12 +22,13 @@ version (``repro.core.progressive``), whose driver route is that same stage.
 """
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterator
 
 from .count_ic import count_ic
 from .enum_ic import Community, _CommunityDSU
 from .graph import RefGraph
-from .local_search import Stage, grow, growth
+from .local_search import Stage, grow, growth, on_prefix
 
 
 def progressive(g, rank: int, next_size, stage) -> Iterator[Community]:
@@ -40,21 +41,18 @@ def progressive(g, rank: int, next_size, stage) -> Iterator[Community]:
         tau_prev = st.tau
 
 
-def progressive_stage(g: RefGraph, gamma: int, dsu: _CommunityDSU):
-    """LocalSearch-P's stage: ConstructCVS on the top-r prefix down to
+def progressive_stage(
+    sub: RefGraph, tau: float, tau_prev: float, gamma: int, dsu: _CommunityDSU
+):
+    """LocalSearch-P's stage: ConstructCVS on ``sub`` = ``G≥τ`` down to
     τ_{i-1}, then the new bands' communities from the shared ``dsu``."""
-
-    def stage(tau: float, tau_prev: float):
-        r = g.r_for_tau(tau)
-        peel = count_ic(g, gamma, tau_stop=tau_prev, prefix=r)
-        return Stage(tau, g.prefix_size(r), peel.count), dsu.stream(g, peel)
-
-    return stage
+    peel = count_ic(sub, gamma, tau_stop=tau_prev)
+    return Stage(tau, sub.size, peel.count), dsu.stream(sub, peel)
 
 
 def local_search_progressive(
     g: RefGraph, gamma: int, delta: float = 2.0
 ) -> Iterator[Community]:
     """Algorithm 4: yield ``(influence, frozenset)``, highest influence first."""
-    stage = progressive_stage(g, gamma, _CommunityDSU())
+    stage = on_prefix(g, partial(progressive_stage, gamma=gamma, dsu=_CommunityDSU()))
     yield from progressive(g, 1 + gamma, growth(delta), stage)

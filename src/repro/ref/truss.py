@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .enum_ic import Community, _CommunityDSU
 from .graph import RefGraph
-from .local_search import LocalSearchResult, Stage, grow_top_k, growth
+from .local_search import LocalSearchResult, Stage, grow_top_k, growth, on_prefix
 
 Edge = Tuple[int, int]  # canonical (min, max)
 
@@ -48,18 +49,17 @@ class TrussPeelResult:
 class _TrussPeeler:
     """Mutable γ-truss peel state: supports, cascaded edge removal.
 
-    ``prefix=r`` peels the top-r induced subgraph (``None``: all of ``g``),
-    materialized in linear time from the first rows of the §3.1 edge
-    layout, like the core peeler.
+    Its adjacency sets are built in linear time from the rows of ``g``'s
+    §3.1 edge layout, and then mutated by the peel; a local search hands
+    in its stage's ``G≥τ``, the layout's first rows.
     """
 
-    def __init__(self, g: RefGraph, gamma: int, prefix: Optional[int] = None):
+    def __init__(self, g: RefGraph, gamma: int):
         if gamma < 2:
             raise ValueError("truss gamma must be >= 2")
         self.gamma = gamma
-        head = g.index.head(g.n if prefix is None else prefix)
-        self.adj: Dict[int, Set[int]] = {v: set() for v in head.ids.tolist()}
-        for u, v in zip(*(ends.tolist() for ends in head.edge_ends())):
+        self.adj: Dict[int, Set[int]] = {v: set() for v in g.order}
+        for u, v in zip(*(ends.tolist() for ends in g.index.edge_ends())):
             self.adj[u].add(v)
             self.adj[v].add(u)
         self.alive_vertices = set(self.adj)
@@ -116,14 +116,9 @@ class _TrussPeeler:
         return out
 
 
-def count_icc(
-    g: RefGraph,
-    gamma: int,
-    tau_stop: Optional[float] = None,
-    prefix: Optional[int] = None,
-) -> TrussPeelResult:
+def count_icc(g: RefGraph, gamma: int, tau_stop: Optional[float] = None) -> TrussPeelResult:
     """Algorithm 7 (with the Algorithm-5-style early stop for progressiveness)."""
-    peeler = _TrussPeeler(g, gamma, prefix=prefix)
+    peeler = _TrussPeeler(g, gamma)
     res = TrussPeelResult()
     res.precore_removed = peeler.reduce_truss()
     heap = [(g.weight[v], v) for v in peeler.alive_vertices]
@@ -163,22 +158,18 @@ def enum_icc(g: RefGraph, peel: TrussPeelResult, k: int) -> List[Community]:
     return out
 
 
-def truss_stage(g: RefGraph, gamma: int):
-    """LocalSearch-Truss's stage: CountICC on the top-r prefix, then EnumICC."""
-
-    def stage(tau: float):
-        r = g.r_for_tau(tau)
-        peel = count_icc(g, gamma, prefix=r)
-        return Stage(tau, g.prefix_size(r), peel.count), lambda k: enum_icc(g, peel, k)
-
-    return stage
+def truss_stage(sub: RefGraph, tau: float, gamma: int):
+    """LocalSearch-Truss's stage: CountICC on ``sub`` = ``G≥τ``, then EnumICC."""
+    peel = count_icc(sub, gamma)
+    return Stage(tau, sub.size, peel.count), lambda k: enum_icc(sub, peel, k)
 
 
 def local_search_truss(
     g: RefGraph, k: int, gamma: int, delta: float = 2.0
 ) -> LocalSearchResult:
     """LocalSearch-Truss (Algorithm 6 with the truss Count/Enum procedures)."""
-    return grow_top_k(g, k, k + gamma, growth(delta), truss_stage(g, gamma))
+    stage = on_prefix(g, partial(truss_stage, gamma=gamma))
+    return grow_top_k(g, k, k + gamma, growth(delta), stage)
 
 
 def global_search_truss(g: RefGraph, k: int, gamma: int) -> List[Community]:

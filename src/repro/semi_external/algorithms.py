@@ -122,7 +122,10 @@ def _streaming_T(
 def online_all_se(
     store: EdgeBlockStore, gamma: int, k: Optional[int] = None
 ) -> Tuple[List[Community], EdgeBlockStore]:
-    """All communities in decreasing influence order (top-``k`` if given)."""
+    """All communities in decreasing influence order (top-``k`` if given;
+    nothing, and no scan, for ``k ≤ 0``)."""
+    if k is not None and k <= 0:
+        return [], store
     vp = store.vertices().sort_by("id")
     ids = vp["id"].to_numpy()
     if not np.array_equal(ids, np.arange(len(ids))):
@@ -169,4 +172,4 @@ def online_all_se(
                 resident += 1
                 store.note_resident(resident)
     emit_keys_strictly_above(NEG_INF)
-    return (out[: max(k, 0)] if k is not None else out), store
+    return out[:k], store

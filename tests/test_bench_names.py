@@ -3,14 +3,18 @@
 ``querybench/run.py --trace 1`` wraps functions of the program by module
 attribute (``workloads.Workload.trace``); a rename would only show when the
 benchmark runs. This applies and undoes every workload's patches without
-constructing the workload or starting an engine.
+constructing the workload or starting an engine, and runs the se-disk
+self-test (``querybench/selftest.py``, a few seconds) for the names only a
+set-up reaches.
 """
 import os
+import subprocess
 import sys
 
 import pytest
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "querybench"))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "querybench"))
 
 from tracing import Patches, Tracer  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
@@ -55,3 +59,14 @@ def test_se_subgraph_span_fires_once_per_stage(tmp_path):
     names = [sp.name for sp in tracer.spans]
     assert comms == want.communities
     assert names.count("se.subgraph") == names.count("se.count_ic") == len(want.stages) >= 2
+
+
+def test_se_disk_selftest():
+    """The benchmark's se-disk self-test passes: it is the only run of the
+    set-up names, ``as_ref_graph``, ``EdgeBlockStore.write`` and
+    ``local_search_se``'s ``(communities, store)`` return."""
+    out = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "querybench", "selftest.py"), "--workloads", "se-disk"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert out.returncode == 0, (out.stdout + out.stderr)[-3000:]

@@ -14,6 +14,8 @@ import pytest
 import repro.core.enum_ic as core_enum
 import repro.core.local_search as core_ls
 import repro.core.progressive as core_p
+import repro.graphs.storage as storage_module
+import repro.ref.graph as graph_module
 from repro.baselines import global_search
 from repro.baselines.global_search import forward_spark, online_all_spark
 from repro.core.local_search import SURVIVAL, local_search_spark
@@ -346,6 +348,16 @@ class TestGraphContract:
         with pytest.raises(ValueError, match=message):
             SparkGraph.from_pandas(spark, *self.frames(edges))
 
+    def test_contract_is_checked_once(self, spark, monkeypatch):
+        """``from_pandas`` runs ``check_graph`` once, with the duplicates
+        already dropped."""
+        calls = record_calls(monkeypatch, graph_module, "check_graph")
+        # storage imports the name too (``canonical_frames`` calls it).
+        monkeypatch.setattr(storage_module, "check_graph", graph_module.check_graph)
+        path = [(1, 2), (2, 3), (2, 1), (3, 2)]
+        sg = SparkGraph.from_pandas(spark, *self.frames(path))
+        assert len(calls) == 1 and sg.index.n == 6 and len(sg.index.nbr) == 2
+
     @pytest.mark.parametrize(
         "column, message", [("weight", "pairwise distinct"), ("id", "duplicate vertex id 1")]
     )
@@ -357,12 +369,15 @@ class TestGraphContract:
 
 
 class TestGlobalBaselinesSpark:
-    def test_online_all_and_forward(self, g3):
+    def test_online_all_and_forward(self, g3, monkeypatch):
         ref, sg = g3
         assert online_all_spark(sg, gamma=3, k=4) == TOP4
         assert forward_spark(sg, gamma=3, k=4) == TOP4
-        for k in (0, -2):  # k ≤ 0 asks for nothing
+        # k ≤ 0 asks for nothing, so the whole-graph fixed point never runs.
+        passes = record_calls(monkeypatch, global_search, "survival_threshold")
+        for k in (0, -2):
             assert online_all_spark(sg, gamma=3, k=k) == forward_spark(sg, gamma=3, k=k) == []
+        assert passes == []
 
     @pytest.mark.parametrize("baseline", [online_all_spark, forward_spark])
     def test_collect_only_finite_T_rows(self, g3, spark, monkeypatch, baseline):
@@ -531,9 +546,8 @@ class TestInputChecks:
                     top_k_noncontainment_spark(sg, k, gamma).communities,
                     local_search_truss_spark(sg, k, gamma).communities,
                     local_search_se(store, k, gamma)[0],
+                    forward_nc(ref, k, gamma),
+                    online_all_se(store, gamma, k)[0],
                 ]
                 assert answers == [[]] * len(answers)
         assert store.stats.blocks_read == 0
-        # The global baselines count every community first, then slice.
-        for k in (0, -2):
-            assert forward_nc(ref, k, 3) == online_all_se(store, 3, k)[0] == []

@@ -1,5 +1,6 @@
 """Eval harness: Table 1 equals independent counts; every experiment driver
 produces well-formed rows at test scale; jobs run end-to-end."""
+import os
 import subprocess
 import sys
 
@@ -14,6 +15,12 @@ from repro.graphs.weights import build_dataset_pandas
 from repro.ref.count_ic import gamma_core_set
 
 SCALE = 0.08
+#: the checkout these tests belong to, whose jobs (and sources) they run
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ROOT_ENV = dict(os.environ)
+ROOT_ENV["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")))
+)
 
 
 class TestTable1:
@@ -122,7 +129,7 @@ class TestJobs:
     def test_job_runs(self, cmd):
         out = subprocess.run(
             [sys.executable, *cmd], capture_output=True, text=True,
-            cwd="/root/repo", timeout=300,
+            cwd=ROOT, timeout=300, env=ROOT_ENV,
         )
         assert out.returncode == 0, out.stderr[-2000:]
         assert "|" in out.stdout  # printed a table

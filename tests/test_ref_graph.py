@@ -283,9 +283,10 @@ class TestPrefixLocality:
         want_graph = fig3_graph().subgraph_top(r)
         want = count_ic(want_graph, 3)
         g = poisoned_past(r)
-        peel = count_ic(g, 3, prefix=r)
+        sub = g.subgraph_top(r)
+        peel = count_ic(sub, 3)
         assert (peel.keys, peel.cvs, peel.nc_flags) == (want.keys, want.cvs, want.nc_flags)
-        assert enum_ic(g, peel, None) == enum_ic(want_graph, want, None)
+        assert enum_ic(sub, peel, None) == enum_ic(want_graph, want, None)
         assert "csr" not in g.__dict__
 
     @pytest.mark.parametrize("r", [7, 12, 17])
@@ -294,9 +295,10 @@ class TestPrefixLocality:
         want_graph = fig3_graph().subgraph_top(r)
         want = count_icc(want_graph, 3)
         g = poisoned_past(r)
-        peel = count_icc(g, 3, prefix=r)
+        sub = g.subgraph_top(r)
+        peel = count_icc(sub, 3)
         assert peel.keys == want.keys and peel.edge_groups == want.edge_groups
-        assert enum_icc(g, peel, g.n) == enum_icc(want_graph, want, g.n)
+        assert enum_icc(sub, peel, g.n) == enum_icc(want_graph, want, g.n)
         assert "adj" not in g.__dict__ and "csr" not in g.__dict__
 
 
@@ -338,8 +340,9 @@ class TestPeelEdgeCases:
         assert peel.keys == [2, 1]  # v0 falls in v1's cascade
 
     def test_prefix_zero_and_full(self, g3):
-        assert count_ic(g3, 3, prefix=g3.n).keys == count_ic(g3, 3).keys
-        assert count_ic(g3, 3, prefix=1).count == 0
+        assert count_ic(g3.subgraph_top(g3.n), 3).keys == count_ic(g3, 3).keys
+        assert count_ic(g3.subgraph_top(1), 3).count == 0
+        assert count_ic(g3.subgraph_top(0), 3).count == 0
 
     def test_tau_stop_prefix_property(self, g3):
         """Algorithm 5: keys/cvs of the stopped peel are a prefix of the

@@ -67,13 +67,14 @@ def test_cvs_groups_are_survival_bands(g, gamma):
 
 def check_peel_against_brute(g, gamma, r, tau_stop):
     """The rank-space peel of the top-``r`` prefix, stopped at ``tau_stop``,
-    against the suffix-core oracles on ``g.subgraph_top(r)``: its keys are
+    against the same peel of that subgraph rebuilt through the checked
+    constructor, and the suffix-core oracles on ``g.subgraph_top(r)``: its keys are
     the keynodes below ``tau_stop``, each cvs group is its T-band, and its
     non-containment flag says whether the band has no edge into the
     vertices that outlive it."""
-    peel = count_ic(g, gamma, tau_stop=tau_stop, prefix=r)
     sub = g.subgraph_top(r)
-    whole = count_ic(sub, gamma, tau_stop=tau_stop)
+    peel = count_ic(sub, gamma, tau_stop=tau_stop)
+    whole = count_ic(RefGraph(sub.weight, sub.edge_list()), gamma, tau_stop=tau_stop)
     assert (peel.keys, peel.cvs, peel.precore_removed, peel.nc_flags) == (
         whole.keys, whole.cvs, whole.precore_removed, whole.nc_flags
     )

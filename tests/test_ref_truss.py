@@ -103,7 +103,7 @@ def test_stages_on_the_survival_core_equal_the_prefix(g, gamma, data):
     tau = data.draw(st.sampled_from(sorted(g.weight.values())))
     for stage, core_gamma in ((truss_stage, gamma - 1), (nc_stage, gamma)):
         (want, want_top), (got, got_top) = (
-            stage(h, gamma)(tau) for h in (g, core_of(g, tau, core_gamma))
+            stage(h, tau, gamma) for h in (g.subgraph_ge(tau), core_of(g, tau, core_gamma))
         )
         assert got.count == want.count
         for k in (1, 2, 5, 100):
